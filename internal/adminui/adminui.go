@@ -246,8 +246,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "reputation_dropped_writes %d\n", st.DroppedWrites)
 		fmt.Fprintf(w, "reputation_failed_lookups %d\n", st.FailedLookups)
 	}
+	delivered := make(map[string]int64, len(m.Delivered))
 	for via, n := range m.Delivered {
-		fmt.Fprintf(w, "delivered_%s %d\n", via, n)
+		delivered[via.String()] = n
+	}
+	for _, via := range sortedStringKeys(delivered) {
+		fmt.Fprintf(w, "delivered_%s %d\n", via, delivered[via])
 	}
 	fmt.Fprintf(w, "challenge_loop_suppressed_total %d\n", m.ChallengeLoopSuppressed)
 	fmt.Fprintf(w, "dsn_orphaned_total %d\n", m.DSNOrphaned)

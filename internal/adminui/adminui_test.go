@@ -222,6 +222,37 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsDeliveredSorted: the delivered_<via> lines come from a
+// map, yet every scrape must print them in the same, sorted order.
+func TestMetricsDeliveredSorted(t *testing.T) {
+	eng, _, msg, srv := fixture(t)
+	bob := mail.MustParseAddress("bob@corp.example")
+	if err := eng.AuthorizeFromDigest(bob, msg.ID); err != nil {
+		t.Fatal(err)
+	}
+	again := *msg
+	again.ID = mail.NewID("ui")
+	if v := eng.Receive(&again); v != core.Accepted {
+		t.Fatalf("whitelisted resend verdict %v", v)
+	}
+	delivered := func() string {
+		_, body := get(t, srv.URL+"/metrics")
+		var lines []string
+		for _, l := range strings.Split(body, "\n") {
+			if strings.HasPrefix(l, "delivered_") {
+				lines = append(lines, l)
+			}
+		}
+		return strings.Join(lines, "\n")
+	}
+	want := "delivered_digest 1\ndelivered_whitelist 1"
+	for i := 0; i < 10; i++ {
+		if got := delivered(); got != want {
+			t.Fatalf("scrape %d delivered lines:\n%s\nwant:\n%s", i+1, got, want)
+		}
+	}
+}
+
 // TestSyncMetrics exercises the sparse-barrier counter export.
 func TestSyncMetrics(t *testing.T) {
 	eng, _, _, _ := fixture(t)

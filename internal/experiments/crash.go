@@ -4,8 +4,9 @@
 // installation "crashes" — the on-disk state is cloned with the
 // un-synced tail torn by the fault injector, exactly what a power cut
 // leaves — and a cold recovery (snapshot + WAL suffix replay) must
-// reproduce the pre-crash whitelist and reputation state byte for
-// byte, with zero acknowledged (fsynced) mutations lost.
+// reproduce the pre-crash whitelist, reputation, greylist and outbound
+// spool state byte for byte, with zero acknowledged (fsynced) mutations
+// lost.
 //
 // The paper's product kept its whitelists as the asset of record
 // (§4.3); this experiment is the proof that our recovery protocol
@@ -52,9 +53,9 @@ type CrashPoint struct {
 	// LostAcked is how many fsync-acknowledged records recovery lost
 	// (must be zero).
 	LostAcked uint64
-	// StateIdentical reports whether the recovered whitelist and
-	// reputation exports are byte-identical to a shadow fold of the
-	// committed record sequence up to RecoveredLSN.
+	// StateIdentical reports whether the recovered whitelist,
+	// reputation and greylist exports are byte-identical to a shadow
+	// fold of the committed record sequence up to RecoveredLSN.
 	StateIdentical bool
 	// SpoolIdentical reports whether the recovered outbound challenge
 	// spool (pending items and terminal fates) is byte-identical to the
@@ -98,13 +99,61 @@ func (r *CrashRestartReport) SpoolPass() bool {
 // crashInstall is one generation of the installation under test: live
 // stores with the journal attached, plus the paths recovery needs.
 type crashInstall struct {
-	wl  *whitelist.Store
-	rep *reputation.Store
-	gl  *greylist.Store
-	sp  *spool.State
+	st  store.Stores
 	rec *spool.Recorder
 	log *wal.Log
 	dir string // holds state.json + wal/
+}
+
+// newCrashStores returns all four durable stores, empty, on clk.
+func newCrashStores(clk clock.Clock) store.Stores {
+	return store.Stores{
+		Whitelist:  whitelist.NewStore(clk),
+		Reputation: reputation.NewStore(reputation.Config{}, clk),
+		Greylist:   greylist.New(greylist.Config{}, clk),
+		Spool:      spool.NewState(),
+	}
+}
+
+func mustJSON(v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(err) // Export types marshal by construction
+	}
+	return b
+}
+
+// checkRecovery folds the committed record sequence into fresh stores
+// on clk — the state a perfect recovery must land on — and compares
+// got against it byte for byte, store by store, filling in p's
+// verdicts. Greylist exports skip tuples stale at clk.Now(), so the
+// live sweep's unjournalled deletions cannot show up as divergence.
+func (p *CrashPoint) checkRecovery(committed []wal.Record, got store.Stores, clk clock.Clock) error {
+	shadow := newCrashStores(clk)
+	for _, r := range committed {
+		if err := shadow.Apply(r); err != nil {
+			return fmt.Errorf("shadow fold: %w", err)
+		}
+	}
+	p.StateIdentical, p.SpoolIdentical = true, true
+	for _, c := range []struct {
+		name       string
+		want, have any
+		identical  *bool
+	}{
+		{"whitelist", shadow.Whitelist.Export(), got.Whitelist.Export(), &p.StateIdentical},
+		{"reputation", shadow.Reputation.Export(), got.Reputation.Export(), &p.StateIdentical},
+		{"greylist", shadow.Greylist.Export(), got.Greylist.Export(), &p.StateIdentical},
+		{"spool", shadow.Spool.Export(), got.Spool.Export(), &p.SpoolIdentical},
+	} {
+		if !bytes.Equal(mustJSON(c.want), mustJSON(c.have)) {
+			*c.identical = false
+			if p.Detail == "" {
+				p.Detail = c.name + " diverged from shadow"
+			}
+		}
+	}
+	return nil
 }
 
 func (ci *crashInstall) snapPath() string { return filepath.Join(ci.dir, "state.json") }
@@ -144,22 +193,16 @@ func CrashRestart(seed int64, crashes int) (*CrashRestartReport, error) {
 		if err := os.MkdirAll(filepath.Join(dir, "wal"), 0o755); err != nil {
 			return nil, err
 		}
-		return &crashInstall{
-			wl:  whitelist.NewStore(clk),
-			rep: reputation.NewStore(reputation.Config{}, clk),
-			gl:  greylist.New(greylist.Config{}, clk),
-			sp:  spool.NewState(),
-			dir: dir,
-		}, nil
+		return &crashInstall{st: newCrashStores(clk), dir: dir}, nil
 	}
 
 	attach := func(ci *crashInstall) {
 		j := wal.NewJournal(ci.log)
 		j.SetTap(func(r wal.Record) { committed = append(committed, r) })
-		j.Attach(ci.wl, ci.rep, ci.gl)
+		j.Attach(ci.st.Whitelist, ci.st.Reputation, ci.st.Greylist)
 		// Spool transitions journal through the same path the outbound
 		// queue uses in production: Recorder -> Journal.Emit.
-		ci.rec = &spool.Recorder{State: ci.sp, Emit: j.Emit}
+		ci.rec = &spool.Recorder{State: ci.st.Spool, Emit: j.Emit}
 	}
 
 	live, err := newInstall(0)
@@ -201,7 +244,7 @@ func CrashRestart(seed int64, crashes int) (*CrashRestartReport, error) {
 		})
 	}
 	randPending := func() (spool.Item, bool) {
-		p := live.sp.Pending()
+		p := live.st.Spool.Pending()
 		if len(p) == 0 {
 			return spool.Item{}, false
 		}
@@ -213,13 +256,13 @@ func CrashRestart(seed int64, crashes int) (*CrashRestartReport, error) {
 		s := sender(rng.Intn(200))
 		switch rng.Intn(14) {
 		case 0, 1, 2:
-			live.wl.AddWhite(u, s, whitelist.Source(rng.Intn(5)))
+			live.st.Whitelist.AddWhite(u, s, whitelist.Source(rng.Intn(5)))
 		case 3:
-			live.wl.AddBlack(u, s)
+			live.st.Whitelist.AddBlack(u, s)
 		case 4:
-			live.wl.RemoveWhite(u, s)
+			live.st.Whitelist.RemoveWhite(u, s)
 		case 5:
-			live.gl.Check(fmt.Sprintf("203.0.113.%d", rng.Intn(64)), s, u)
+			live.st.Greylist.Check(fmt.Sprintf("203.0.113.%d", rng.Intn(64)), s, u)
 		case 10, 11:
 			spoolEnqueue()
 		case 12:
@@ -237,7 +280,7 @@ func CrashRestart(seed int64, crashes int) (*CrashRestartReport, error) {
 				spoolEnqueue()
 			}
 		default:
-			live.rep.Record(s, fmt.Sprintf("198.51.100.%d", rng.Intn(64)), reputation.Outcome(rng.Intn(6)))
+			live.st.Reputation.Record(s, fmt.Sprintf("198.51.100.%d", rng.Intn(64)), reputation.Outcome(rng.Intn(6)))
 		}
 		report.Mutations++
 		clk.Advance(time.Duration(1+rng.Intn(600)) * time.Second)
@@ -254,20 +297,11 @@ func CrashRestart(seed int64, crashes int) (*CrashRestartReport, error) {
 		if err := live.log.Rotate(); err != nil {
 			return err
 		}
-		st := store.Stores{Whitelist: live.wl, Reputation: live.rep, Greylist: live.gl, Spool: live.sp}
-		if err := store.SaveFile(live.snapPath(), "crash-restart", st, cut, clk.Now()); err != nil {
+		if err := store.SaveFile(live.snapPath(), "crash-restart", live.st, cut, clk.Now()); err != nil {
 			return err
 		}
 		_, err := live.log.CompactThrough(cut)
 		return err
-	}
-
-	mustJSON := func(v any) []byte {
-		b, err := json.Marshal(v)
-		if err != nil {
-			panic(err) // Export types marshal by construction
-		}
-		return b
 	}
 
 	for c := 0; c < crashes; c++ {
@@ -322,8 +356,7 @@ func CrashRestart(seed int64, crashes int) (*CrashRestartReport, error) {
 		}
 
 		// Cold boot on the crash image.
-		st := store.Stores{Whitelist: next.wl, Reputation: next.rep, Greylist: next.gl, Spool: next.sp}
-		rec, err := store.Recover(next.snapPath(), crashWALOpts(next.walDir()), st)
+		rec, err := store.Recover(next.snapPath(), crashWALOpts(next.walDir()), next.st)
 		if err != nil {
 			return nil, fmt.Errorf("crash %d: recovery refused to boot: %w", c, err)
 		}
@@ -336,44 +369,12 @@ func CrashRestart(seed int64, crashes int) (*CrashRestartReport, error) {
 			point.LostAcked = point.DurableLSN - point.RecoveredLSN
 		}
 
-		// Shadow copy: fold the committed record sequence 1..RecoveredLSN
-		// into fresh stores. Recovery (snapshot + suffix replay) must land
-		// on exactly this state — whitelist and reputation byte-identical.
-		// (The greylist is excluded: its sweep deletes expired tuples
-		// without journalling them, an allowed divergence because expired
-		// tuples are semantically absent either way.)
-		shadowWL := whitelist.NewStore(clk)
-		shadowRep := reputation.NewStore(reputation.Config{}, clk)
-		shadowGL := greylist.New(greylist.Config{}, clk)
-		shadowSp := spool.NewState()
-		m := point.RecoveredLSN
-		if m > uint64(len(committed)) {
+		// Shadow copy: recovery (snapshot + suffix replay) must land on
+		// exactly the fold of the committed records 1..RecoveredLSN.
+		if m := point.RecoveredLSN; m > uint64(len(committed)) {
 			point.Detail = fmt.Sprintf("recovered LSN %d beyond %d committed records", m, len(committed))
-		} else {
-			for _, r := range committed[:m] {
-				if err := wal.Apply(r, shadowWL, shadowRep, shadowGL); err != nil {
-					return nil, fmt.Errorf("crash %d: shadow fold: %w", c, err)
-				}
-				if err := spool.Apply(r, shadowSp); err != nil {
-					return nil, fmt.Errorf("crash %d: shadow spool fold: %w", c, err)
-				}
-			}
-			wlA, wlB := mustJSON(shadowWL.Export()), mustJSON(next.wl.Export())
-			repA, repB := mustJSON(shadowRep.Export()), mustJSON(next.rep.Export())
-			switch {
-			case !bytes.Equal(wlA, wlB):
-				point.Detail = "whitelist diverged from shadow"
-			case !bytes.Equal(repA, repB):
-				point.Detail = "reputation diverged from shadow"
-			default:
-				point.StateIdentical = true
-			}
-			spA, spB := mustJSON(shadowSp.Export()), mustJSON(next.sp.Export())
-			if bytes.Equal(spA, spB) {
-				point.SpoolIdentical = true
-			} else if point.Detail == "" {
-				point.Detail = "spool diverged from shadow"
-			}
+		} else if err := point.checkRecovery(committed[:m], next.st, clk); err != nil {
+			return nil, fmt.Errorf("crash %d: %w", c, err)
 		}
 		report.Points = append(report.Points, point)
 
@@ -418,7 +419,7 @@ func (r *CrashRestartReport) Render() string {
 	}
 	fmt.Fprintf(&b, "\nfinal log: %d segment(s) live, %d compaction(s) over the run\n", r.Segments, r.Compactions)
 	if r.Pass() {
-		fmt.Fprintf(&b, "crash safety: PASS — every acked mutation recovered, whitelist+reputation byte-identical at all %d crash points\n",
+		fmt.Fprintf(&b, "crash safety: PASS — every acked mutation recovered, whitelist+reputation+greylist+spool byte-identical at all %d crash points\n",
 			len(r.Points))
 	} else {
 		b.WriteString("crash safety: FAIL — see diverged/lost crash points above\n")

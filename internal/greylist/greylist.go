@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/mail"
+	"repro/internal/wal"
 )
 
 // Verdict is the greylist decision for one delivery attempt.
@@ -81,9 +82,10 @@ type entry struct {
 	passedAt  time.Time // zero until promoted
 }
 
-// ExportedTuple is the serialisable (and journalled) form of one tuple's
-// state: the absolute state after a transition, so re-applying any
-// in-order suffix of the journal is idempotent (last writer wins).
+// ExportedTuple is the snapshot form of one tuple's state. Journal
+// records carry the same absolute post-transition state, so
+// re-applying any in-order suffix of the journal is idempotent (last
+// writer wins).
 type ExportedTuple struct {
 	Key       string    `json:"key"`
 	FirstSeen time.Time `json:"first_seen"`
@@ -99,7 +101,7 @@ type Store struct {
 	tuples  map[string]*entry
 	stats   Stats
 	sweepAt time.Time
-	journal func(ExportedTuple)
+	journal func(wal.Record) uint64
 }
 
 // New returns an empty greylist.
@@ -142,77 +144,83 @@ func (s *Store) Check(clientIP string, from, to mail.Address) Verdict {
 	s.maybeSweep(now)
 
 	e, ok := s.tuples[k]
-	if !ok {
+	if !ok || s.stale(e, now) {
+		// First contact, or the retry window or pass TTL ran out: start
+		// over.
 		s.tuples[k] = &entry{firstSeen: now}
 		s.stats.FirstSeen++
 		s.emit(k, now, time.Time{})
 		return TempReject
 	}
 	if !e.passedAt.IsZero() {
-		if now.Sub(e.passedAt) <= s.cfg.PassTTL {
-			s.stats.KnownAccept++
-			e.passedAt = now // sliding TTL
-			s.emit(k, e.firstSeen, now)
-			return Accept
-		}
-		// Pass expired: start over.
-		e.firstSeen = now
-		e.passedAt = time.Time{}
-		s.stats.FirstSeen++
-		s.emit(k, now, time.Time{})
-		return TempReject
-	}
-	age := now.Sub(e.firstSeen)
-	switch {
-	case age < s.cfg.Delay:
-		// No state change; early retries are not journalled.
-		s.stats.EarlyRetry++
-		return TempReject
-	case age > s.cfg.Window:
-		// The retry came absurdly late; treat as first contact.
-		e.firstSeen = now
-		s.stats.FirstSeen++
-		s.emit(k, now, time.Time{})
-		return TempReject
-	default:
-		e.passedAt = now
-		s.stats.Passed++
+		s.stats.KnownAccept++
+		e.passedAt = now // sliding TTL
 		s.emit(k, e.firstSeen, now)
 		return Accept
 	}
-}
-
-// emit journals a tuple's post-transition state. Caller holds s.mu.
-func (s *Store) emit(k string, firstSeen, passedAt time.Time) {
-	if s.journal != nil {
-		s.journal(ExportedTuple{Key: k, FirstSeen: firstSeen, PassedAt: passedAt})
+	if now.Sub(e.firstSeen) < s.cfg.Delay {
+		// No state change; early retries are not journalled.
+		s.stats.EarlyRetry++
+		return TempReject
 	}
+	e.passedAt = now
+	s.stats.Passed++
+	s.emit(k, e.firstSeen, now)
+	return Accept
 }
 
-// SetJournal installs the change-journal hook, invoked with the store
-// lock held after every tuple state transition (sweep deletions are not
-// journalled: expired tuples are semantically absent either way, and the
-// sweep re-runs after recovery). The hook must not call back into the
-// store.
-func (s *Store) SetJournal(fn func(ExportedTuple)) {
+// emit journals a tuple's post-transition state (Time = first-seen,
+// Aux = passed-at unix nanoseconds or 0). Caller holds s.mu.
+func (s *Store) emit(k string, firstSeen, passedAt time.Time) {
+	if s.journal == nil {
+		return
+	}
+	r := wal.Record{Time: firstSeen, Op: wal.OpGreylist, Origin: "greylist", User: k}
+	if !passedAt.IsZero() {
+		r.Aux = passedAt.UnixNano()
+	}
+	s.journal(r)
+}
+
+// SetJournal installs the change-journal hook (wal.Journal.Emit),
+// invoked with the store lock held after every tuple state transition.
+// Expiry needs no record: a stale tuple is absent on read whether or
+// not the sweep has reclaimed it yet. The hook must not call back into
+// the store.
+func (s *Store) SetJournal(emit func(wal.Record) uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.journal = fn
+	s.journal = emit
 }
 
-// Apply sets a tuple to the journalled absolute state (WAL replay).
-func (s *Store) Apply(t ExportedTuple) {
+// Apply sets a tuple to its journalled absolute state (WAL replay);
+// records of other stores are ignored.
+func (s *Store) Apply(r wal.Record) error {
+	if r.Op != wal.OpGreylist {
+		return nil
+	}
+	e := &entry{firstSeen: r.Time}
+	if r.Aux != 0 {
+		e.passedAt = time.Unix(0, r.Aux).UTC()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tuples[t.Key] = &entry{firstSeen: t.FirstSeen, passedAt: t.PassedAt}
+	s.tuples[r.User] = e
+	return nil
 }
 
-// Export returns every tracked tuple sorted by key, for snapshots.
+// Export returns every live tuple sorted by key, for snapshots. Tuples
+// stale at the clock's current time are skipped, so the export does not
+// depend on when the sweep last ran.
 func (s *Store) Export() []ExportedTuple {
+	now := s.clk.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]ExportedTuple, 0, len(s.tuples))
 	for k, e := range s.tuples {
+		if s.stale(e, now) {
+			continue
+		}
 		out = append(out, ExportedTuple{Key: k, FirstSeen: e.firstSeen, PassedAt: e.passedAt})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
@@ -228,21 +236,26 @@ func (s *Store) Import(tuples []ExportedTuple) {
 	}
 }
 
-// maybeSweep drops stale tuples at most once per hour of clock time.
-// Caller holds s.mu.
+// stale reports whether e has expired at now: an unpassed tuple whose
+// retry window closed, or a passed tuple whose pass TTL ran out. Check
+// treats a stale tuple as first contact and Export skips it.
+func (s *Store) stale(e *entry, now time.Time) bool {
+	if e.passedAt.IsZero() {
+		return now.Sub(e.firstSeen) > s.cfg.Window
+	}
+	return now.Sub(e.passedAt) > s.cfg.PassTTL
+}
+
+// maybeSweep reclaims the memory of stale tuples at most once per hour
+// of clock time. Expiry itself is lazy (see stale), so the sweep changes
+// nothing a reader can observe. Caller holds s.mu.
 func (s *Store) maybeSweep(now time.Time) {
 	if !s.sweepAt.IsZero() && now.Sub(s.sweepAt) < time.Hour {
 		return
 	}
 	s.sweepAt = now
 	for k, e := range s.tuples {
-		stale := false
-		if e.passedAt.IsZero() {
-			stale = now.Sub(e.firstSeen) > s.cfg.Window
-		} else {
-			stale = now.Sub(e.passedAt) > s.cfg.PassTTL
-		}
-		if stale {
+		if s.stale(e, now) {
 			delete(s.tuples, k)
 		}
 	}
@@ -255,7 +268,8 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// Len returns the number of tracked tuples.
+// Len returns the number of tracked tuples, including stale ones the
+// sweep has not reclaimed yet.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -34,6 +34,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/faults"
 	"repro/internal/mail"
+	"repro/internal/wal"
 )
 
 // Outcome is one classification event recorded against a sender.
@@ -273,7 +274,7 @@ type Store struct {
 	// in order and a snapshot never misses a journalled observation.
 	// Without a journal the hot path never touches it.
 	walMu   sync.Mutex
-	journal func(sender mail.Address, ip string, o Outcome, at time.Time) uint64
+	journal func(wal.Record) uint64
 
 	records       atomic.Int64
 	lookups       atomic.Int64
@@ -397,7 +398,8 @@ func (s *Store) Record(sender mail.Address, ip string, o Outcome) {
 		// the pair serialised so shard state never lags a smaller LSN
 		// behind a larger one and Export sees every journalled record.
 		s.walMu.Lock()
-		lsn := s.journal(sender, ip, o, now)
+		lsn := s.journal(wal.Record{Time: now, Op: wal.OpReputation, Origin: o.String(),
+			Sender: sender.String(), IP: ip, Value: int64(o)})
 		s.apply(keys[:n], o, now, lsn)
 		s.walMu.Unlock()
 	} else {
@@ -406,12 +408,12 @@ func (s *Store) Record(sender mail.Address, ip string, o Outcome) {
 	s.records.Add(1)
 }
 
-// SetJournal installs the change-journal hook. The hook appends one
-// observation record and returns its LSN (or zero if the append was
-// dropped). It must be installed before the store sees concurrent use
-// and must not call back into the store.
-func (s *Store) SetJournal(fn func(sender mail.Address, ip string, o Outcome, at time.Time) uint64) {
-	s.journal = fn
+// SetJournal installs the change-journal hook (wal.Journal.Emit). The
+// hook appends one observation record and returns its LSN (or zero if
+// the append was dropped). It must be installed before the store sees
+// concurrent use and must not call back into the store.
+func (s *Store) SetJournal(emit func(wal.Record) uint64) {
+	s.journal = emit
 }
 
 // apply folds one observation into the owning shards. lsn is zero when
@@ -434,14 +436,22 @@ func (s *Store) apply(keys []repKey, o Outcome, at time.Time, lsn uint64) {
 	}
 }
 
-// Apply re-applies a journalled observation during WAL replay. The
-// per-entry LSN guard makes it idempotent: a record whose effect is
-// already in the snapshot (entry.lsn >= record LSN) is skipped, so
-// replaying any in-order suffix of the journal converges to the exact
-// live-store bits.
-func (s *Store) Apply(sender mail.Address, ip string, o Outcome, at time.Time, lsn uint64) {
+// Apply re-applies a journalled observation during WAL replay; records
+// of other stores are ignored. The per-entry LSN guard makes it
+// idempotent: a record whose effect is already in the snapshot
+// (entry.lsn >= record LSN) is skipped, so replaying any in-order
+// suffix of the journal converges to the exact live-store bits.
+func (s *Store) Apply(r wal.Record) error {
+	if r.Op != wal.OpReputation {
+		return nil
+	}
+	sender, err := mail.ParseAddress(r.Sender)
+	if err != nil {
+		return fmt.Errorf("reputation: record %d sender %q: %v", r.LSN, r.Sender, err)
+	}
+	o, at, lsn := Outcome(r.Value), r.Time, r.LSN
 	var keys [3]repKey
-	n := keysFor(sender, ip, &keys)
+	n := keysFor(sender, r.IP, &keys)
 	for _, key := range keys[:n] {
 		sh := s.shardFor(key)
 		sh.mu.Lock()
@@ -457,6 +467,7 @@ func (s *Store) Apply(sender mail.Address, ip string, o Outcome, at time.Time, l
 		}
 		sh.mu.Unlock()
 	}
+	return nil
 }
 
 // KeyScore is one key's contribution to a verdict.

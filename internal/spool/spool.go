@@ -389,12 +389,9 @@ func TerminalRecord(at time.Time, msgID string, st Status, class, lastErr string
 	return r
 }
 
-// Apply folds one WAL record into st. Non-spool ops are ignored, so
-// replay loops can hand every record to both wal.Apply and spool.Apply.
-func Apply(r wal.Record, st *State) error {
-	if st == nil {
-		return nil
-	}
+// Apply folds one WAL record into s (replay); records of other stores
+// are ignored.
+func (s *State) Apply(r wal.Record) error {
 	switch r.Op {
 	case wal.OpSpoolEnqueue:
 		var b enqueueBlob
@@ -409,7 +406,7 @@ func Apply(r wal.Record, st *State) error {
 		if err != nil {
 			return fmt.Errorf("spool: record %d to %q: %v", r.LSN, r.Sender, err)
 		}
-		st.ApplyEnqueue(Challenge{
+		s.ApplyEnqueue(Challenge{
 			MsgID:   r.User,
 			Token:   b.Token,
 			From:    from,
@@ -424,13 +421,13 @@ func Apply(r wal.Record, st *State) error {
 		if r.Aux != 0 {
 			next = time.Unix(0, r.Aux).UTC()
 		}
-		st.ApplyAttempt(r.User, r.Origin, r.Blob, int(r.Value), next, r.LSN)
+		s.ApplyAttempt(r.User, r.Origin, r.Blob, int(r.Value), next, r.LSN)
 	case wal.OpSpoolSent:
-		st.ApplyTerminal(r.User, StatusSent, int(r.Value), r.LSN)
+		s.ApplyTerminal(r.User, StatusSent, int(r.Value), r.LSN)
 	case wal.OpSpoolBounced:
-		st.ApplyTerminal(r.User, StatusBounced, int(r.Value), r.LSN)
+		s.ApplyTerminal(r.User, StatusBounced, int(r.Value), r.LSN)
 	case wal.OpSpoolExpired:
-		st.ApplyTerminal(r.User, StatusExpired, int(r.Value), r.LSN)
+		s.ApplyTerminal(r.User, StatusExpired, int(r.Value), r.LSN)
 	}
 	return nil
 }

@@ -1,9 +1,6 @@
 package store
 
-import (
-	"repro/internal/spool"
-	"repro/internal/wal"
-)
+import "repro/internal/wal"
 
 // Recovery is the result of a boot-time Recover.
 type Recovery struct {
@@ -25,15 +22,18 @@ type Recovery struct {
 // from snapPath (if any), then open the WAL and replay the suffix past
 // the snapshot's WalLSN cut into the stores.
 //
-// The cut is sampled *before* the stores export (Saver callers sample
-// LastLSN first), so mutations journalled during the export window have
-// LSN > cut and replay again on top of a snapshot that may already
-// contain them — which is safe because every store's Apply is
-// idempotent (whitelist: insert-if-absent / delete; reputation:
-// per-entry LSN guard; greylist: absolute state; spool: per-item LSN
-// guard plus a terminal-fate set). Conversely every record with
-// LSN <= cut is guaranteed inside the snapshot: each store serialises
-// (apply, journal) pairs against its export.
+// Every record replays through Stores.Apply. The cut is sampled
+// *before* the stores export (Saver callers sample LastLSN first), so
+// mutations journalled during the export window have LSN > cut and
+// replay again on top of a snapshot that may already contain them —
+// which is safe because every store's Apply is idempotent (whitelist:
+// insert-if-absent / delete; reputation: per-entry LSN guard; greylist:
+// absolute last-writer-wins state; spool: per-item LSN guard plus a
+// terminal-fate set). Conversely every record with LSN <= cut is
+// guaranteed inside the snapshot: each store serialises (apply,
+// journal) pairs against its export. Greylist tuples that expired
+// before the save are absent from the snapshot and skipped by every
+// later export, so expiry needs no record of its own.
 //
 // A torn WAL tail is truncated, never fatal: the only hard failures are
 // I/O errors and a snapshot newer than this build understands.
@@ -46,12 +46,7 @@ func Recover(snapPath string, walOpts wal.Options, st Stores) (*Recovery, error)
 	if snap != nil {
 		fromLSN = snap.WalLSN
 	}
-	log, stats, err := wal.Open(walOpts, fromLSN, func(r wal.Record) error {
-		if err := wal.Apply(r, st.Whitelist, st.Reputation, st.Greylist); err != nil {
-			return err
-		}
-		return spool.Apply(r, st.Spool)
-	})
+	log, stats, err := wal.Open(walOpts, fromLSN, st.Apply)
 	if err != nil {
 		return nil, err
 	}

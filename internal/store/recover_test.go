@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,19 +16,10 @@ import (
 	"repro/internal/whitelist"
 )
 
-func mustJSON(t *testing.T, v any) []byte {
-	t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
 // TestRecoverSnapshotPlusWALSuffix runs the full boot protocol: mutate
 // journalled stores, snapshot at a mid-run WAL cut, keep mutating, then
 // recover a cold installation from snapshot + WAL suffix and require
-// byte-identical whitelist and reputation exports.
+// byte-identical whitelist, reputation and greylist exports.
 func TestRecoverSnapshotPlusWALSuffix(t *testing.T) {
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "wal")
@@ -106,11 +96,8 @@ func TestRecoverSnapshotPlusWALSuffix(t *testing.T) {
 		t.Fatal("clean shutdown reported a torn tail")
 	}
 
-	if a, b := mustJSON(t, wl.Export()), mustJSON(t, cold.Whitelist.Export()); !bytes.Equal(a, b) {
-		t.Fatalf("whitelist exports differ after recovery\n%s\n%s", a, b)
-	}
-	if a, b := mustJSON(t, rep.Export()), mustJSON(t, cold.Reputation.Export()); !bytes.Equal(a, b) {
-		t.Fatalf("reputation exports differ after recovery\n%s\n%s", a, b)
+	if a, b := snapshotBytes(t, live, clk.Now()), snapshotBytes(t, cold, clk.Now()); !bytes.Equal(a, b) {
+		t.Fatalf("exports differ after recovery\n%s\n%s", a, b)
 	}
 
 	// The recovered log continues the LSN sequence.

@@ -34,6 +34,7 @@ import (
 	"repro/internal/greylist"
 	"repro/internal/reputation"
 	"repro/internal/spool"
+	"repro/internal/wal"
 	"repro/internal/whitelist"
 )
 
@@ -48,11 +49,36 @@ var maxSnapshotBytes int64 = 256 << 20
 
 // Stores bundles the durable state of one installation. Any field may
 // be nil when the corresponding subsystem is not wired.
+//
+// Every store has the same durable shape: it encodes its own mutations
+// as wal.Records (the spool through spool.Recorder, the others through
+// SetJournal) and folds them back with Apply(wal.Record), ignoring the
+// ops it does not own.
 type Stores struct {
 	Whitelist  *whitelist.Store
 	Reputation *reputation.Store
 	Greylist   *greylist.Store
 	Spool      *spool.State
+}
+
+// Apply folds one WAL record into every wired store. Recovery, the
+// crash-restart experiment's shadow fold and the journal tests all
+// replay through it.
+func (st Stores) Apply(r wal.Record) error {
+	var err error
+	if st.Whitelist != nil {
+		err = st.Whitelist.Apply(r)
+	}
+	if err == nil && st.Reputation != nil {
+		err = st.Reputation.Apply(r)
+	}
+	if err == nil && st.Greylist != nil {
+		err = st.Greylist.Apply(r)
+	}
+	if err == nil && st.Spool != nil {
+		err = st.Spool.Apply(r)
+	}
+	return err
 }
 
 // Snapshot is the serialised durable state of one installation.

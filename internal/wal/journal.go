@@ -1,21 +1,10 @@
 package wal
 
-import (
-	"fmt"
-	"time"
-
-	"repro/internal/greylist"
-	"repro/internal/mail"
-	"repro/internal/reputation"
-	"repro/internal/whitelist"
-)
-
-// Journal connects the state stores' change-journal hooks to a Log:
-// every whitelist/blacklist mutation, reputation observation and
-// greylist transition becomes one appended record. Appends are
-// fail-open — a rejected append (fault injection) is counted by the log
-// and the in-memory mutation proceeds, mirroring how the rest of the
-// pipeline degrades rather than blocks.
+// Journal connects the durable stores to a Log. Every store encodes its
+// own mutations as Records and hands them to Emit; Journal only appends
+// them. Appends are fail-open — a rejected append (fault injection) is
+// counted by the log and the in-memory mutation proceeds, mirroring how
+// the rest of the pipeline degrades rather than blocks.
 type Journal struct {
 	log *Log
 	tap func(Record)
@@ -33,14 +22,9 @@ func (j *Journal) Log() *Log { return j.log }
 // before the journal is attached.
 func (j *Journal) SetTap(fn func(Record)) { j.tap = fn }
 
-// Emit journals one externally built record (the outbound spool builds
-// its own transition records) with the same fail-open semantics and tap
-// visibility as the store hooks. It returns the assigned LSN, 0 if the
-// append was dropped.
-func (j *Journal) Emit(r Record) uint64 { return j.append(r) }
-
-// append writes one record, returning its LSN (0 if dropped).
-func (j *Journal) append(r Record) uint64 {
+// Emit appends one record built by a store and returns the assigned
+// LSN, 0 if the append was dropped.
+func (j *Journal) Emit(r Record) uint64 {
 	lsn, err := j.log.Append(r)
 	if err != nil {
 		return 0
@@ -52,114 +36,20 @@ func (j *Journal) append(r Record) uint64 {
 	return lsn
 }
 
-// Attach installs the change-journal hooks on the given stores (any may
-// be nil). The record's Origin names the event that caused the
-// mutation: for whitelist entries that is the engine's entry source
-// ("challenge", "digest", "outbound", ...), for reputation the recorded
-// outcome ("delivered", "solved", ...).
-func (j *Journal) Attach(wl *whitelist.Store, rep *reputation.Store, gl *greylist.Store) {
-	if wl != nil {
-		wl.SetJournal(func(m whitelist.Mutation) {
-			rec := Record{
-				Time:   m.Entry.Added,
-				User:   m.User.String(),
-				Sender: m.Entry.Addr.String(),
-			}
-			switch m.Op {
-			case whitelist.MutAddWhite:
-				rec.Op = OpWhiteAdd
-				rec.Origin = m.Entry.Source.String()
-				rec.Value = int64(m.Entry.Source)
-			case whitelist.MutAddBlack:
-				rec.Op = OpBlackAdd
-				rec.Origin = m.Entry.Source.String()
-				rec.Value = int64(m.Entry.Source)
-			case whitelist.MutRemoveWhite:
-				rec.Op = OpWhiteRemove
-				rec.Origin = "remove"
-			default:
-				return
-			}
-			j.append(rec)
-		})
-	}
-	if rep != nil {
-		rep.SetJournal(func(sender mail.Address, ip string, o reputation.Outcome, at time.Time) uint64 {
-			return j.append(Record{
-				Time:   at,
-				Op:     OpReputation,
-				Origin: o.String(),
-				Sender: sender.String(),
-				IP:     ip,
-				Value:  int64(o),
-			})
-		})
-	}
-	if gl != nil {
-		gl.SetJournal(func(t greylist.ExportedTuple) {
-			rec := Record{
-				Time:   t.FirstSeen,
-				Op:     OpGreylist,
-				Origin: "greylist",
-				User:   t.Key,
-			}
-			if !t.PassedAt.IsZero() {
-				rec.Aux = t.PassedAt.UnixNano()
-			}
-			j.append(rec)
-		})
-	}
+// Durable is a store that journals its own mutations. SetJournal hands
+// it the append function (Journal.Emit), which returns the assigned LSN
+// or 0 when the append was dropped.
+type Durable interface {
+	SetJournal(emit func(Record) uint64)
 }
 
-// Apply folds one journalled record back into the stores (WAL replay
-// and the experiment's shadow copy). Stores may be nil to skip an op
-// class. Unknown ops are ignored — an old binary replaying a newer
-// log's extra record types must still boot.
-func Apply(r Record, wl *whitelist.Store, rep *reputation.Store, gl *greylist.Store) error {
-	switch r.Op {
-	case OpWhiteAdd, OpBlackAdd, OpWhiteRemove:
-		if wl == nil {
-			return nil
+// Attach installs Emit as the change journal of every given store. Nil
+// entries are skipped, so callers can pass a literal nil for an unwired
+// store.
+func (j *Journal) Attach(stores ...Durable) {
+	for _, s := range stores {
+		if s != nil {
+			s.SetJournal(j.Emit)
 		}
-		user, err := mail.ParseAddress(r.User)
-		if err != nil {
-			return fmt.Errorf("wal: record %d user %q: %v", r.LSN, r.User, err)
-		}
-		sender, err := mail.ParseAddress(r.Sender)
-		if err != nil {
-			return fmt.Errorf("wal: record %d sender %q: %v", r.LSN, r.Sender, err)
-		}
-		m := whitelist.Mutation{
-			User:  user,
-			Entry: whitelist.Entry{Addr: sender, Source: whitelist.Source(r.Value), Added: r.Time},
-		}
-		switch r.Op {
-		case OpWhiteAdd:
-			m.Op = whitelist.MutAddWhite
-		case OpBlackAdd:
-			m.Op = whitelist.MutAddBlack
-		case OpWhiteRemove:
-			m.Op = whitelist.MutRemoveWhite
-		}
-		wl.Apply(m)
-	case OpReputation:
-		if rep == nil {
-			return nil
-		}
-		sender, err := mail.ParseAddress(r.Sender)
-		if err != nil {
-			return fmt.Errorf("wal: record %d sender %q: %v", r.LSN, r.Sender, err)
-		}
-		rep.Apply(sender, r.IP, reputation.Outcome(r.Value), r.Time, r.LSN)
-	case OpGreylist:
-		if gl == nil {
-			return nil
-		}
-		t := greylist.ExportedTuple{Key: r.User, FirstSeen: r.Time}
-		if r.Aux != 0 {
-			t.PassedAt = time.Unix(0, r.Aux).UTC()
-		}
-		gl.Apply(t)
 	}
-	return nil
 }

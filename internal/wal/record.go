@@ -1,8 +1,14 @@
 // Package wal implements the durable write-ahead log for the filter's
-// mutable state: every whitelist, reputation and greylist mutation is
-// appended as a framed record before (or atomically with) its in-memory
-// effect, so a crash loses at most the un-fsynced tail instead of a
-// whole snapshot interval.
+// mutable state: every whitelist, reputation, greylist and outbound
+// spool mutation is appended as a framed record before (or atomically
+// with) its in-memory effect, so a crash loses at most the un-fsynced
+// tail instead of a whole snapshot interval.
+//
+// The log is typed but knows no store: Record and the Op numbering are
+// the whole contract. Each store encodes its own mutations into Records
+// (handed to Journal.Emit through its SetJournal hook) and decodes them
+// again in its own Apply(Record) method, ignoring ops it does not own.
+// The package imports no domain package.
 //
 // On-disk layout: a directory of segment files named wal-%016x.seg by
 // the LSN of their first record. Each segment starts with an 8-byte

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/mail"
+	"repro/internal/wal"
 )
 
 // Source identifies how an entry was added to a list.
@@ -79,37 +80,16 @@ func newList() *List {
 	return &List{entries: make(map[mail.Address]Entry)}
 }
 
-// MutOp identifies the kind of list mutation carried by a Mutation.
-type MutOp int
-
-// List mutation kinds, journalled to the write-ahead log.
-const (
-	MutAddWhite MutOp = iota
-	MutAddBlack
-	MutRemoveWhite
-)
-
-// String returns a short label for the mutation kind.
-func (o MutOp) String() string {
-	switch o {
-	case MutAddWhite:
-		return "add-white"
-	case MutAddBlack:
-		return "add-black"
-	case MutRemoveWhite:
-		return "remove-white"
-	default:
-		return "unknown"
+// insert adds e unless its address is already listed (the first entry
+// wins) and reports whether e was new.
+func (l *List) insert(e Entry) bool {
+	sk := e.Addr.Canonical()
+	if _, ok := l.entries[sk]; ok {
+		return false
 	}
-}
-
-// Mutation is one state change to a user's lists, as handed to the
-// change journal. For removals only Entry.Addr and Entry.Added (the
-// removal time) are meaningful.
-type Mutation struct {
-	Op    MutOp
-	User  mail.Address
-	Entry Entry
+	l.entries[sk] = e
+	l.log = append(l.log, e)
+	return true
 }
 
 // Store holds the white- and blacklists of every user of one company's
@@ -120,7 +100,7 @@ type Store struct {
 	mu      sync.RWMutex
 	white   map[mail.Address]*List // by canonical user address
 	black   map[mail.Address]*List
-	journal func(Mutation)
+	journal func(wal.Record) uint64
 }
 
 // NewStore returns an empty store using clk for entry timestamps.
@@ -132,43 +112,62 @@ func NewStore(clk clock.Clock) *Store {
 	}
 }
 
-// SetJournal installs the change-journal hook. The hook is invoked with
-// the store lock held, once per applied mutation, in apply order; it
-// must not call back into the store. Replays via Apply and bulk Import
-// are not journalled (they reconstruct state that is already durable).
-func (s *Store) SetJournal(fn func(Mutation)) {
+// SetJournal installs the change-journal hook (wal.Journal.Emit). The
+// hook is invoked with the store lock held, once per applied mutation,
+// in apply order; it must not call back into the store. Replays via
+// Apply and bulk Import are not journalled (they reconstruct state that
+// is already durable).
+func (s *Store) SetJournal(emit func(wal.Record) uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.journal = fn
+	s.journal = emit
 }
 
-// Apply re-applies a journalled mutation during WAL replay. Additions
-// are insert-if-absent (replaying a mutation whose effect is already in
-// the snapshot is a no-op), removals delete-if-present, so replaying any
-// in-order suffix of the mutation history is idempotent.
-func (s *Store) Apply(m Mutation) {
+// emit journals one list mutation. Origin names the entry source
+// ("remove" for removals, which carry no source). Caller holds s.mu.
+func (s *Store) emit(op wal.Op, user mail.Address, e Entry) {
+	if s.journal == nil {
+		return
+	}
+	r := wal.Record{Time: e.Added, Op: op, User: user.String(), Sender: e.Addr.String(),
+		Origin: e.Source.String(), Value: int64(e.Source)}
+	if op == wal.OpWhiteRemove {
+		r.Origin, r.Value = "remove", 0
+	}
+	s.journal(r)
+}
+
+// Apply re-applies a journalled list mutation during WAL replay; records
+// of other stores are ignored. Additions are insert-if-absent (replaying
+// a mutation whose effect is already in the snapshot is a no-op),
+// removals delete-if-present, so replaying any in-order suffix of the
+// mutation history is idempotent.
+func (s *Store) Apply(r wal.Record) error {
+	if r.Op != wal.OpWhiteAdd && r.Op != wal.OpBlackAdd && r.Op != wal.OpWhiteRemove {
+		return nil
+	}
+	user, err := mail.ParseAddress(r.User)
+	if err != nil {
+		return fmt.Errorf("whitelist: record %d user %q: %v", r.LSN, r.User, err)
+	}
+	sender, err := mail.ParseAddress(r.Sender)
+	if err != nil {
+		return fmt.Errorf("whitelist: record %d sender %q: %v", r.LSN, r.Sender, err)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch m.Op {
-	case MutAddWhite, MutAddBlack:
-		lists := s.white
-		if m.Op == MutAddBlack {
-			lists = s.black
+	if r.Op == wal.OpWhiteRemove {
+		if l := s.white[user.Canonical()]; l != nil {
+			delete(l.entries, sender.Canonical())
 		}
-		l := s.list(lists, m.User)
-		sk := m.Entry.Addr.Canonical()
-		if _, ok := l.entries[sk]; ok {
-			return
-		}
-		l.entries[sk] = m.Entry
-		l.log = append(l.log, m.Entry)
-	case MutRemoveWhite:
-		l := s.white[m.User.Canonical()]
-		if l == nil {
-			return
-		}
-		delete(l.entries, m.Entry.Addr.Canonical())
+		return nil
 	}
+	lists := s.white
+	if r.Op == wal.OpBlackAdd {
+		lists = s.black
+	}
+	s.list(lists, user).insert(Entry{Addr: sender, Source: Source(r.Value), Added: r.Time})
+	return nil
 }
 
 func (s *Store) list(m map[mail.Address]*List, user mail.Address) *List {
@@ -189,35 +188,23 @@ func (s *Store) list(m map[mail.Address]*List, user mail.Address) *List {
 func (s *Store) AddWhite(user, sender mail.Address, src Source) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	l := s.list(s.white, user)
-	sk := sender.Canonical()
-	if _, ok := l.entries[sk]; ok {
-		return false
-	}
-	e := Entry{Addr: sender, Source: src, Added: s.clk.Now()}
-	l.entries[sk] = e
-	l.log = append(l.log, e)
-	if s.journal != nil {
-		s.journal(Mutation{Op: MutAddWhite, User: user, Entry: e})
-	}
-	return true
+	return s.add(s.white, wal.OpWhiteAdd, user, Entry{Addr: sender, Source: src, Added: s.clk.Now()})
 }
 
 // AddBlack adds sender to user's blacklist. Returns true if new.
 func (s *Store) AddBlack(user, sender mail.Address) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	l := s.list(s.black, user)
-	sk := sender.Canonical()
-	if _, ok := l.entries[sk]; ok {
+	return s.add(s.black, wal.OpBlackAdd, user, Entry{Addr: sender, Source: SourceManual, Added: s.clk.Now()})
+}
+
+// add inserts e into user's list in lists and journals it as op if it
+// was new. Caller holds s.mu.
+func (s *Store) add(lists map[mail.Address]*List, op wal.Op, user mail.Address, e Entry) bool {
+	if !s.list(lists, user).insert(e) {
 		return false
 	}
-	e := Entry{Addr: sender, Source: SourceManual, Added: s.clk.Now()}
-	l.entries[sk] = e
-	l.log = append(l.log, e)
-	if s.journal != nil {
-		s.journal(Mutation{Op: MutAddBlack, User: user, Entry: e})
-	}
+	s.emit(op, user, e)
 	return true
 }
 
@@ -235,9 +222,7 @@ func (s *Store) RemoveWhite(user, sender mail.Address) bool {
 		return false
 	}
 	delete(l.entries, sk)
-	if s.journal != nil {
-		s.journal(Mutation{Op: MutRemoveWhite, User: user, Entry: Entry{Addr: sender, Added: s.clk.Now()}})
-	}
+	s.emit(wal.OpWhiteRemove, user, Entry{Addr: sender, Added: s.clk.Now()})
 	return true
 }
 
@@ -399,23 +384,12 @@ func (s *Store) Import(lists []ExportedList) error {
 			return fmt.Errorf("whitelist: bad user %q: %v", l.User, err)
 		}
 		s.mu.Lock()
-		wl := s.list(s.white, user)
+		wl, bl := s.list(s.white, user), s.list(s.black, user)
 		for _, e := range l.White {
-			sk := e.Addr.Canonical()
-			if _, ok := wl.entries[sk]; ok {
-				continue
-			}
-			wl.entries[sk] = e
-			wl.log = append(wl.log, e)
+			wl.insert(e)
 		}
-		bl := s.list(s.black, user)
 		for _, e := range l.Black {
-			sk := e.Addr.Canonical()
-			if _, ok := bl.entries[sk]; ok {
-				continue
-			}
-			bl.entries[sk] = e
-			bl.log = append(bl.log, e)
+			bl.insert(e)
 		}
 		s.mu.Unlock()
 	}
