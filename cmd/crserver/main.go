@@ -92,8 +92,8 @@ func main() {
 
 	// Resolver and blocklist caches (off under a fault plan: injected
 	// faults must reach every consumer un-cached). The live server uses
-	// the same TTL + negative caching + single-flight path the fleet
-	// simulation exercises; /metrics reports the hit rates.
+	// the same resolver cache and self-invalidating blocklist memo the
+	// fleet simulation exercises; /metrics reports the hit rates.
 	var resolver dnssim.Resolver = dns
 	var dnsCache *dnscache.Cache
 	var rblCache *dnscache.RBLCache

@@ -10,11 +10,13 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/dnscache"
 	"repro/internal/dnssim"
 	"repro/internal/gateway"
 	"repro/internal/mail"
 	"repro/internal/outbound"
 	"repro/internal/overload"
+	"repro/internal/rbl"
 	"repro/internal/smtp"
 	"repro/internal/store"
 	"repro/internal/whitelist"
@@ -166,5 +168,32 @@ func TestDrainGraceful(t *testing.T) {
 	// The shed is accounted as a draining tempfail, not a drop.
 	if ctl.Metrics().Shed[overload.ReasonDraining] == 0 {
 		t.Error("mid-drain shed not recorded with reason draining")
+	}
+}
+
+// TestRBLMemoSeesLateListing wires the blocklist memo the way main does
+// (real clock, NewRBL over the local provider) and checks that a listing
+// made after an IP's first lookup is seen on its next lookup.
+func TestRBLMemoSeesLateListing(t *testing.T) {
+	clk := clock.Real{}
+	provider := rbl.NewProvider("local-dnsbl", rbl.DefaultPolicy(), clk)
+	memo := dnscache.NewRBL(provider, clk, 0)
+
+	for _, ip := range []string{"198.51.100.7", "198.51.100.8"} {
+		if listed, err := memo.Query(ip); listed || err != nil {
+			t.Fatalf("first Query(%s) = %v, %v; want not listed", ip, listed, err)
+		}
+	}
+	provider.AddStatic("198.51.100.7")
+	for i := 0; i < rbl.DefaultPolicy().HitThreshold; i++ {
+		provider.ReportTrapHit("198.51.100.8")
+	}
+	for _, ip := range []string{"198.51.100.7", "198.51.100.8"} {
+		if listed, err := memo.Query(ip); !listed || err != nil {
+			t.Fatalf("Query(%s) after listing = %v, %v; want listed", ip, listed, err)
+		}
+	}
+	if st := memo.Stats(); st.Misses != 4 {
+		t.Fatalf("stats = %+v, want 4 misses (each listing dropped its entry)", st)
 	}
 }

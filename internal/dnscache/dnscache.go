@@ -1,6 +1,6 @@
 // Package dnscache puts a TTL cache with negative caching and
-// single-flight collapse in front of the simulated resolver, and an
-// equivalent memoized lookup in front of an RBL provider.
+// single-flight collapse in front of the simulated resolver, and a
+// memoized lookup in front of an RBL provider.
 //
 // Real MTAs lean on resolver caches: sender-infrastructure lookups are
 // dominated by repeated queries for the same handful of domains and IPs
@@ -13,12 +13,15 @@
 //
 // Coherence rules (see DESIGN.md §8):
 //
-//   - Entries expire on the *virtual* clock, never the wall clock.
-//   - Both backends expose a generation counter that increments on every
-//     mutation (dnssim.Server.Gen: record changes, RemoveDomain,
-//     FailDomain, injector swaps; rbl.Provider.Gen: listing/delisting
-//     events). Each lookup compares generations and flushes the whole
-//     cache on change, so a cached answer can never mask a mutation.
+//   - Cache entries expire on the *virtual* clock, never the wall clock.
+//     dnssim.Server.Gen increments on every mutation (record changes,
+//     RemoveDomain, FailDomain, injector swaps); each lookup compares
+//     generations and flushes on change, so a cached answer can never
+//     mask a mutation.
+//   - The RBL memo has no TTL and needs no invalidation from its owner.
+//     The provider's listing hook drops an IP's entry the moment it is
+//     listed, and a cached "listed" answer expires when the clock reaches
+//     the listing's end — the test IsListed itself makes.
 //   - Temporary failures (timeouts, injected outages) are never cached:
 //     the caller must see every one, or fault injection would be
 //     silently absorbed. Authoritative negatives (NXDOMAIN / no such
@@ -36,9 +39,10 @@ import (
 	"repro/internal/rbl"
 )
 
-// Default lifetimes. Both are shorter than the fleet's one-hour epoch,
-// so every entry naturally expires across an epoch barrier and cached
-// state never leaks ordering effects between epochs.
+// Cache lifetimes of positive and authoritative-negative resolver
+// answers. Both are shorter than the fleet's one-hour epoch, so every
+// entry expires across an epoch barrier and cached state never leaks
+// ordering effects between epochs.
 const (
 	DefaultTTL    = 30 * time.Minute
 	DefaultNegTTL = 10 * time.Minute
@@ -69,13 +73,9 @@ func (s Stats) HitRate() float64 {
 type Options struct {
 	// Clock supplies the (virtual) time entries age against. Required.
 	Clock clock.Clock
-	// TTL is the positive-answer lifetime; DefaultTTL if zero.
-	TTL time.Duration
-	// NegTTL is the authoritative-negative lifetime; DefaultNegTTL if zero.
-	NegTTL time.Duration
-	// Gen, when non-nil, is polled on every lookup; a change flushes the
-	// entire cache. Wire it to dnssim.Server.Gen so RemoveDomain,
-	// FailDomain and fault-plan transitions invalidate immediately.
+	// Gen is polled on every lookup; a change flushes the cache. Wire it
+	// to dnssim.Server.Gen so RemoveDomain, FailDomain and fault-plan
+	// transitions invalidate immediately. Required.
 	Gen func() uint64
 }
 
@@ -88,7 +88,7 @@ type Options struct {
 type entry struct {
 	mu    sync.Mutex
 	ready atomic.Bool
-	neg   bool      // cached negative (uses NegTTL)
+	neg   bool      // cached negative (uses DefaultNegTTL)
 	exp   time.Time // expiry on the virtual clock
 	err   error     // cached authoritative error (NXDOMAIN / no record)
 
@@ -147,22 +147,14 @@ type Cache struct {
 	coalesced atomic.Int64
 }
 
-// New returns a cache over backend. Options.Clock is required.
+// New returns a cache over backend. Options.Clock and Options.Gen are
+// required.
 func New(backend dnssim.Resolver, opts Options) *Cache {
-	if opts.Clock == nil {
-		panic("dnscache: Options.Clock is required")
-	}
-	if opts.TTL <= 0 {
-		opts.TTL = DefaultTTL
-	}
-	if opts.NegTTL <= 0 {
-		opts.NegTTL = DefaultNegTTL
+	if opts.Clock == nil || opts.Gen == nil {
+		panic("dnscache: Options.Clock and Options.Gen are required")
 	}
 	c := &Cache{backend: backend, opts: opts}
-	var gen uint64
-	if opts.Gen != nil {
-		gen = opts.Gen()
-	}
+	gen := opts.Gen()
 	for i := range c.shards {
 		c.shards[i].entries = make(map[ckey]*entry)
 		c.shards[i].gen.Store(gen)
@@ -183,9 +175,6 @@ func (c *Cache) shardFor(key ckey) *cacheShard {
 // checkGenLocked flushes the shard if the backend generation moved.
 // Caller holds sh.mu.
 func (c *Cache) checkGenLocked(sh *cacheShard) {
-	if c.opts.Gen == nil {
-		return
-	}
 	if g := c.opts.Gen(); g != sh.gen.Load() {
 		sh.gen.Store(g)
 		clear(sh.entries)
@@ -204,13 +193,13 @@ func (c *Cache) do(key ckey, fetch func(*entry) error) (*entry, error) {
 	// serialize. The second Gen read after the map lookup closes the
 	// race with a concurrent mutation: if the generation is still
 	// unchanged, the entry provably predates no mutation.
-	if c.opts.Gen == nil || c.opts.Gen() == sh.gen.Load() {
+	if c.opts.Gen() == sh.gen.Load() {
 		sh.mu.RLock()
 		e := sh.entries[key]
 		sh.mu.RUnlock()
 		if e != nil && e.ready.Load() &&
 			c.opts.Clock.Now().Before(e.exp) &&
-			(c.opts.Gen == nil || c.opts.Gen() == sh.gen.Load()) {
+			c.opts.Gen() == sh.gen.Load() {
 			c.hits.Add(1)
 			if e.neg {
 				c.negHits.Add(1)
@@ -243,9 +232,9 @@ func (c *Cache) do(key ckey, fetch func(*entry) error) (*entry, error) {
 			}
 			e.err = err
 			e.neg = e.neg || err != nil
-			ttl := c.opts.TTL
+			ttl := DefaultTTL
 			if e.neg {
-				ttl = c.opts.NegTTL
+				ttl = DefaultNegTTL
 			}
 			e.exp = c.opts.Clock.Now().Add(ttl)
 			e.ready.Store(true)
@@ -427,57 +416,36 @@ func (c *Cache) Len() int {
 	return n
 }
 
-// Flush drops every entry. Counters are preserved.
-func (c *Cache) Flush() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		clear(sh.entries)
-		sh.mu.Unlock()
-	}
-}
-
 // rblStripes is the RBL memo's lock-stripe count: concurrent lanes
 // querying different botnet IPs proceed without a cache-wide mutex.
 const rblStripes = 8
 
-// rblShard is one lock stripe of the RBL memo with its own generation
-// word (legacy mode flushes per stripe on first touch after a provider
-// mutation, exactly like the DNS cache's shards).
 // rblShard is one lock stripe of the RBL memo. The map is read under
-// mu.RLock on the hit fast path and written under mu.Lock; gen is
-// atomic so the legacy-mode fast path can compare it without any lock.
+// mu.RLock on the hit fast path and written under mu.Lock.
 type rblShard struct {
 	mu      sync.RWMutex
-	gen     atomic.Uint64
 	entries map[string]rblEntry
 }
 
-// RBLCache memoizes rbl.Provider.Query answers. It satisfies the
+// RBLCache memoizes rbl.Provider lookups. It satisfies the
 // filters.RBLBackend surface, so filters.NewRBL accepts it in place of
 // the raw provider.
 //
-// Two coherence modes:
+// The memo returns exactly what the provider would, with no TTL and
+// nothing for its owner to invalidate. A "not listed" answer can only
+// turn into "listed" through AddStatic or a trap hit that opens a
+// listing; the provider reports both through its listing hook, which
+// drops the IP's entry, so negative entries (the ~95% of queries for
+// never-listed IPs) live until then. A "listed" answer can only end when
+// the listing lapses, so a positive entry carries the listing's end and
+// expires when the clock reaches it; static listings never end.
 //
-//   - Legacy (NewRBL): entries carry a TTL on the virtual clock and every
-//     lookup compares the provider's generation counter, flushing the
-//     touched stripe on change. Right for standalone deployments
-//     (cmd/crserver) where listing mutations arrive at arbitrary times.
-//
-//   - Explicit (NewRBLExplicit): entries never expire and generation
-//     changes do not flush. The owner calls Invalidate with exactly the
-//     IPs whose answers may have changed — the fleet does this at fired
-//     epoch barriers with the sweep's delisted IPs plus the flushed trap
-//     hits. Negative entries (the ~95% of queries for never-listed IPs)
-//     therefore survive indefinitely, which is what lifts the hit rate
-//     from ~5% (generation flush + sub-epoch TTL killed every entry) to
-//     >0.9. The store-after-miss generation guard is kept as a
-//     belt-and-braces check against concurrent mutation.
+// The memo is not meant for a provider with a fault injector: a stale
+// injected answer would be kept like a true one. Callers leave it off
+// under a fault plan.
 type RBLCache struct {
-	p        *rbl.Provider
-	clk      clock.Clock
-	ttl      time.Duration
-	explicit bool
+	p   *rbl.Provider
+	clk clock.Clock
 
 	shards [rblStripes]rblShard
 
@@ -488,34 +456,23 @@ type RBLCache struct {
 
 type rblEntry struct {
 	listed bool
-	exp    time.Time // zero in explicit mode: valid until Invalidate
+	until  time.Time // end of a timed listing; zero: until the hook drops it
 }
 
-// NewRBL returns a legacy-mode memoizing cache over p (TTL + generation
-// flush). ttl <= 0 selects DefaultTTL.
-func NewRBL(p *rbl.Provider, clk clock.Clock, ttl time.Duration) *RBLCache {
+// NewRBL returns a memo over p and installs it as p's listing hook. clk
+// must be p's clock, the one its listings expire against. The duration
+// parameter is unused and kept for source compatibility.
+// One memo per provider: a later NewRBL over p takes over the hook, and
+// the earlier memo must no longer be queried.
+func NewRBL(p *rbl.Provider, clk clock.Clock, _ time.Duration) *RBLCache {
 	if clk == nil {
 		panic("dnscache: NewRBL requires a clock")
 	}
-	if ttl <= 0 {
-		ttl = DefaultTTL
-	}
-	c := &RBLCache{p: p, clk: clk, ttl: ttl}
-	gen := p.Gen()
+	c := &RBLCache{p: p, clk: clk}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[string]rblEntry)
-		c.shards[i].gen.Store(gen)
 	}
-	return c
-}
-
-// NewRBLExplicit returns an explicit-invalidation cache over p: entries
-// live until the owner calls Invalidate (or Flush). The owner must
-// invalidate every IP whose listing state may have changed — in the
-// fleet, at every fired epoch barrier.
-func NewRBLExplicit(p *rbl.Provider, clk clock.Clock) *RBLCache {
-	c := NewRBL(p, clk, 0)
-	c.explicit = true
+	p.SetOnListed(c.invalidate)
 	return c
 }
 
@@ -535,83 +492,40 @@ func (c *RBLCache) shardFor(ip string) *rblShard {
 // outages/timeouts) are never cached.
 func (c *RBLCache) Query(ip string) (bool, error) {
 	sh := c.shardFor(ip)
-	// Hit fast path: entries are immutable values replaced wholesale by
-	// Invalidate/flush, so a generation-current hit needs only the read
-	// lock and concurrent lanes querying the memo never serialize.
-	if c.explicit || c.p.Gen() == sh.gen.Load() {
-		sh.mu.RLock()
-		e, ok := sh.entries[ip]
-		sh.mu.RUnlock()
-		if ok && (c.explicit || (c.clk.Now().Before(e.exp) && c.p.Gen() == sh.gen.Load())) {
-			c.hits.Add(1)
-			if !e.listed {
-				c.negHits.Add(1)
-			}
-			return e.listed, nil
+	sh.mu.RLock()
+	e, ok := sh.entries[ip]
+	sh.mu.RUnlock()
+	if ok && (e.until.IsZero() || c.clk.Now().Before(e.until)) {
+		c.hits.Add(1)
+		if !e.listed {
+			c.negHits.Add(1)
 		}
-	}
-	if !c.explicit {
-		sh.mu.Lock()
-		if g := c.p.Gen(); g != sh.gen.Load() {
-			sh.gen.Store(g)
-			clear(sh.entries)
-		}
-		sh.mu.Unlock()
+		return e.listed, nil
 	}
 	c.misses.Add(1)
 	gen := c.p.Gen()
-
-	listed, err := c.p.Query(ip)
+	listed, until, err := c.p.Lookup(ip)
 	if err != nil {
 		return false, err
 	}
-
-	// Store only if the provider did not mutate while we queried;
-	// otherwise our answer may already be stale.
+	// Store only if the provider did not mutate since the lookup began.
+	// The check runs under the stripe lock: a listing that bumps the
+	// generation after it still reaches the hook, whose delete waits for
+	// this store, so a racing listing never leaves a stale negative.
+	sh.mu.Lock()
 	if c.p.Gen() == gen {
-		e := rblEntry{listed: listed}
-		if !c.explicit {
-			e.exp = c.clk.Now().Add(c.ttl)
-		}
-		sh.mu.Lock()
-		sh.entries[ip] = e
-		sh.mu.Unlock()
+		sh.entries[ip] = rblEntry{listed: listed, until: until}
 	}
+	sh.mu.Unlock()
 	return listed, nil
 }
 
-// Invalidate drops the memo entries for the given IPs. Explicit-mode
-// owners call it with every IP whose listing state may have changed
-// since the last call; unknown IPs are no-ops, duplicates are fine.
-func (c *RBLCache) Invalidate(ips ...string) {
-	for _, ip := range ips {
-		sh := c.shardFor(ip)
-		sh.mu.Lock()
-		delete(sh.entries, ip)
-		sh.mu.Unlock()
-	}
-}
-
-// Flush drops every memo entry. Counters are preserved.
-func (c *RBLCache) Flush() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		clear(sh.entries)
-		sh.mu.Unlock()
-	}
-}
-
-// Len returns the number of live memo entries.
-func (c *RBLCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return n
+// invalidate is the provider's listing hook: it drops ip's entry.
+func (c *RBLCache) invalidate(ip string) {
+	sh := c.shardFor(ip)
+	sh.mu.Lock()
+	delete(sh.entries, ip)
+	sh.mu.Unlock()
 }
 
 // Stats returns a snapshot of the memo counters.

@@ -2,6 +2,7 @@ package dnscache
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -48,7 +49,7 @@ func newFixture() (*countingResolver, *clock.Sim, *Cache) {
 	back := &countingResolver{Server: srv}
 	clk := clock.NewSim(t0)
 	// Gen reads through to the wrapped server so mutations invalidate.
-	c := New(back, Options{Clock: clk, TTL: 30 * time.Minute, NegTTL: 10 * time.Minute, Gen: srv.Gen})
+	c := New(back, Options{Clock: clk, Gen: srv.Gen})
 	return back, clk, c
 }
 
@@ -65,7 +66,7 @@ func TestTTLExpiry(t *testing.T) {
 		t.Fatalf("backend A queries before expiry = %d, want 1", got)
 	}
 
-	clk.Advance(29 * time.Minute)
+	clk.Advance(DefaultTTL - time.Minute)
 	if _, err := c.LookupA("mail.example.com"); err != nil {
 		t.Fatal(err)
 	}
@@ -119,13 +120,13 @@ func TestNegativeCacheHits(t *testing.T) {
 		t.Fatalf("resolvable probes = %d, want 1", got)
 	}
 
-	// Negative entries use NegTTL, not the (longer) positive TTL.
-	clk.Advance(10 * time.Minute)
+	// Negative entries use DefaultNegTTL, not the (longer) positive TTL.
+	clk.Advance(DefaultNegTTL)
 	if _, err := c.LookupA("nosuch.example.net"); !errors.Is(err, dnssim.ErrNXDomain) {
 		t.Fatalf("post-expiry error = %v", err)
 	}
 	if got := back.a.Load(); got != 2 {
-		t.Fatalf("negative entry outlived NegTTL: %d backend queries", got)
+		t.Fatalf("negative entry outlived DefaultNegTTL: %d backend queries", got)
 	}
 }
 
@@ -149,7 +150,7 @@ func (b *blockingResolver) LookupTXT(string) ([]string, error)   { return nil, d
 
 func TestSingleflightCollapse(t *testing.T) {
 	back := &blockingResolver{release: make(chan struct{}), started: make(chan struct{}, 16)}
-	c := New(back, Options{Clock: clock.NewSim(t0)})
+	c := New(back, Options{Clock: clock.NewSim(t0), Gen: func() uint64 { return 0 }})
 
 	const n = 8
 	var wg sync.WaitGroup
@@ -233,24 +234,35 @@ func TestInvalidationOnInjectedFault(t *testing.T) {
 func TestRBLCacheMemoizationAndInvalidation(t *testing.T) {
 	clk := clock.NewSim(t0)
 	p := rbl.NewProvider("testlist", rbl.Policy{HitThreshold: 1, Window: time.Hour, ListingTTL: 2 * time.Hour}, clk)
-	c := NewRBL(p, clk, 30*time.Minute)
+	c := NewRBL(p, clk, 0)
 
 	for i := 0; i < 4; i++ {
 		if listed, err := c.Query("10.1.1.1"); listed || err != nil {
 			t.Fatalf("query %d = %v, %v", i, listed, err)
 		}
 	}
-	if st := c.Stats(); st.Misses != 1 || st.Hits != 3 {
-		t.Fatalf("stats = %+v, want 1 miss / 3 hits", st)
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 3 || st.NegHits != 3 {
+		t.Fatalf("stats = %+v, want 1 miss / 3 negative hits", st)
 	}
 
-	// A new listing is a provider mutation: the memo must not mask it.
+	// Negative entries have no TTL: days of virtual time and a listing
+	// of an unrelated IP leave them in place.
+	p.AddStatic("10.8.8.8")
+	clk.Advance(48 * time.Hour)
+	if listed, _ := c.Query("10.1.1.1"); listed {
+		t.Fatal("unexpected listing")
+	}
+	if st := c.Stats(); st.Misses != 1 {
+		t.Fatalf("negative entry dropped by unrelated churn: stats %+v", st)
+	}
+
+	// A fresh listing reaches the memo through the provider's hook.
 	p.ReportTrapHit("10.1.1.1")
 	if listed, _ := c.Query("10.1.1.1"); !listed {
 		t.Fatal("memo masked a fresh listing")
 	}
 
-	// Static adds invalidate too.
+	// So does a static add.
 	if listed, _ := c.Query("10.2.2.2"); listed {
 		t.Fatal("unexpected listing")
 	}
@@ -259,65 +271,111 @@ func TestRBLCacheMemoizationAndInvalidation(t *testing.T) {
 		t.Fatal("memo masked AddStatic")
 	}
 
-	// Listing expiry on the virtual clock surfaces through the memo: the
-	// advance pushes the entry past its TTL, and the re-query sees the
-	// provider's pure-read answer for the now-expired listing.
-	clk.Advance(3 * time.Hour)
+	// A listing that lapses surfaces through the memo without a Sweep:
+	// the cached positive ends where the listing does.
+	clk.Advance(2*time.Hour - time.Second)
+	if listed, _ := c.Query("10.1.1.1"); !listed {
+		t.Fatal("listing ended early")
+	}
+	clk.Advance(time.Second)
 	if listed, _ := c.Query("10.1.1.1"); listed {
 		t.Fatal("memo served an expired listing")
 	}
+	if listed, _ := c.Query("10.2.2.2"); !listed {
+		t.Fatal("static listing expired")
+	}
 }
 
-// TestRBLCacheExplicitMode covers the fleet-facing cache mode: no TTL,
-// no generation-based flush — the owner invalidates exactly the IPs
-// whose answers may have changed (sweep delists + trap-hit sources) at
-// barrier time. Negative entries for never-listed IPs persist for the
-// whole run.
-func TestRBLCacheExplicitMode(t *testing.T) {
-	clk := clock.NewSim(t0)
-	p := rbl.NewProvider("fleetlist",
-		rbl.Policy{HitThreshold: 1, Window: time.Hour, ListingTTL: 2 * time.Hour}, clk)
-	c := NewRBLExplicit(p, clk)
+// TestRBLCacheMatchesProvider is the memo's differential test: a seeded
+// random sequence of listings (first, extension and re-listing after a
+// lapse), static adds, sweeps, clock advances and queries over a small
+// IP pool, with memo and provider compared for every IP after every
+// step.
+func TestRBLCacheMatchesProvider(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		clk := clock.NewSim(t0)
+		p := rbl.NewProvider("difflist",
+			rbl.Policy{HitThreshold: 2, Window: 3 * time.Hour, ListingTTL: 4 * time.Hour}, clk)
+		c := NewRBL(p, clk, 0)
+		rng := rand.New(rand.NewSource(seed))
+		pool := []string{"10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4", "10.0.0.5", "10.0.0.6"}
 
-	// Negative entries never expire on their own: days of virtual time
-	// and provider gen churn elsewhere leave the memo intact.
-	if listed, _ := c.Query("10.9.9.9"); listed {
-		t.Fatal("unexpected listing")
-	}
-	p.AddStatic("10.8.8.8") // gen bump for an unrelated IP
-	clk.Advance(48 * time.Hour)
-	for i := 0; i < 5; i++ {
-		if listed, _ := c.Query("10.9.9.9"); listed {
-			t.Fatal("unexpected listing")
+		for step := 0; step < 2000; step++ {
+			ip := pool[rng.Intn(len(pool))]
+			var op string
+			switch r := rng.Intn(100); {
+			case r < 35:
+				op = "trap hit " + ip
+				p.ReportTrapHit(ip)
+			case r < 37:
+				op = "static " + ip
+				p.AddStatic(ip)
+			case r < 45:
+				op = "sweep"
+				p.Sweep(clk.Now())
+			case r < 70:
+				d := time.Duration(rng.Intn(90)) * time.Minute
+				op = "advance " + d.String()
+				clk.Advance(d)
+			default:
+				op = "query " + ip
+				c.Query(ip)
+			}
+			for _, q := range pool {
+				want, _ := p.Query(q)
+				if got, err := c.Query(q); err != nil || got != want {
+					t.Fatalf("seed %d step %d (%s): memo Query(%s) = %v, %v; provider says %v",
+						seed, step, op, q, got, err, want)
+				}
+			}
+		}
+		if st := c.Stats(); st.Hits == 0 || st.Misses == 0 {
+			t.Fatalf("seed %d: degenerate run, stats %+v", seed, st)
 		}
 	}
-	if st := c.Stats(); st.Misses != 1 || st.Hits != 5 {
-		t.Fatalf("stats = %+v, want 1 miss / 5 hits", st)
-	}
+}
 
-	// Without invalidation the memo is allowed to go stale — that is the
-	// contract: the owner must call Invalidate for changed IPs.
-	p.ReportTrapHit("10.9.9.9")
-	if listed, _ := c.Query("10.9.9.9"); listed {
-		t.Fatal("explicit-mode memo refreshed without Invalidate")
-	}
-	c.Invalidate("10.9.9.9")
-	if listed, _ := c.Query("10.9.9.9"); !listed {
-		t.Fatal("Invalidate did not surface the new listing")
-	}
+// TestRBLCacheSeesListingRace runs queries for one IP concurrently with
+// its listing: every query that starts after ReportTrapHit returns must
+// answer "listed", whatever a racing miss stored.
+func TestRBLCacheSeesListingRace(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		clk := clock.NewSim(t0)
+		p := rbl.NewProvider("racelist",
+			rbl.Policy{HitThreshold: 1, Window: time.Hour, ListingTTL: time.Hour}, clk)
+		c := NewRBL(p, clk, 0)
+		const ip = "192.0.2.7"
 
-	// Sweep + Invalidate surfaces the delist; untouched entries survive.
-	clk.Advance(3 * time.Hour)
-	c.Invalidate(p.Sweep(clk.Now())...)
-	if listed, _ := c.Query("10.9.9.9"); listed {
-		t.Fatal("swept listing still served from memo")
-	}
-	if c.Len() == 0 {
-		t.Fatal("unrelated entries dropped by Invalidate")
-	}
-	c.Flush()
-	if c.Len() != 0 {
-		t.Fatalf("Len after Flush = %d", c.Len())
+		var listedDone atomic.Bool
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					after := listedDone.Load()
+					listed, err := c.Query(ip)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if after && !listed {
+						t.Errorf("round %d: query started after the listing returned saw not-listed", round)
+						return
+					}
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.ReportTrapHit(ip)
+			listedDone.Store(true)
+		}()
+		wg.Wait()
+		if listed, _ := c.Query(ip); !listed {
+			t.Fatalf("round %d: memo masked the listing after all goroutines finished", round)
+		}
 	}
 }
 
@@ -331,7 +389,7 @@ func TestRBLCacheHitRateUnderTrapExtensions(t *testing.T) {
 	clk := clock.NewSim(t0)
 	p := rbl.NewProvider("trapfed",
 		rbl.Policy{HitThreshold: 1, Window: 24 * time.Hour, ListingTTL: 72 * time.Hour}, clk)
-	c := NewRBL(p, clk, 30*time.Minute)
+	c := NewRBL(p, clk, 0)
 
 	p.ReportTrapHit("203.0.113.9") // crosses the threshold: listed (gen bump)
 

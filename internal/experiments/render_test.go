@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -63,5 +65,37 @@ func TestSparkChar(t *testing.T) {
 	}
 	if sparkChar(1, 100) != '.' {
 		t.Fatalf("small value = %c, want .", sparkChar(1, 100))
+	}
+}
+
+// TestStandardRunMatchesArchive pins docs/standard-run.txt, the archived
+// stdout of `go run ./cmd/reproduce` (RenderAll of the standard preset,
+// seed 42, plus Println's newline): any change to the simulation or the
+// renderers that moves a published figure fails here until the archive
+// is regenerated.
+func TestStandardRunMatchesArchive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full standard-preset run")
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "docs", "standard-run.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := RenderAll(NewRun(Standard(42))) + "\n"
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("standard run differs from docs/standard-run.txt at line %d:\n got: %q\nwant: %q\n(regenerate with: go run ./cmd/reproduce > docs/standard-run.txt)", i+1, g, w)
+		}
 	}
 }

@@ -205,8 +205,8 @@ func (f *ReverseDNS) Probe(msg *mail.Message) (Result, error) {
 }
 
 // RBLBackend is the lookup surface the RBL filter needs. *rbl.Provider
-// implements it directly; dnscache.RBLCache memoizes it with a TTL on
-// the virtual clock.
+// implements it directly; dnscache.RBLCache memoizes it, kept exact by
+// the provider's listing hook and the listings' end times.
 type RBLBackend interface {
 	Name() string
 	Query(ip string) (bool, error)

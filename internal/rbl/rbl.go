@@ -72,9 +72,11 @@ type Provider struct {
 	history  map[string][]Interval  // completed + open listing intervals
 	stale    atomic.Int64           // queries answered from "stale" data
 	// gen counts listing-state mutations (new listings, sweeps, static
-	// adds, injector changes) so a memoizing lookup layer can invalidate
-	// on blacklist/delist events instead of polling.
+	// adds, injector changes).
 	gen atomic.Uint64
+	// onListed is called with every IP that goes from "not listed" to
+	// "listed" (see SetOnListed). Guarded by mu.
+	onListed func(ip string)
 }
 
 // Interval is a half-open listing period; Until is zero while still listed.
@@ -113,30 +115,65 @@ func (p *Provider) SetInjector(inj faults.Injector) {
 
 // Gen returns the listing-state generation; it increments whenever the
 // answer Query could give for some IP changes (new listing, sweep,
-// static add, injector swap). Cache layers compare generations per
-// lookup (legacy mode) or use it as a store-after-miss guard (explicit
-// invalidation mode).
+// static add, injector swap). A memo reads it before a miss's Lookup and
+// again before storing the answer, so an answer that raced a mutation is
+// never kept.
 func (p *Provider) Gen() uint64 { return p.gen.Load() }
 
-// Query is the fallible lookup the CR filter chain uses: it consults the
-// injector and returns an error for an injected outage/timeout, a stale
-// (always-unlisted) answer for KindStale, and the true listing state
-// otherwise.
+// SetOnListed installs fn as the listing hook: it is called with ip
+// whenever AddStatic lists ip or ReportTrapHit opens a listing for it
+// (a re-listing over an expired, unswept entry included), after the
+// generation bump and outside the provider's lock. Extending a live
+// listing does not call it. These are the only events that turn a "not
+// listed" answer into "listed", so a memo fed by the hook can keep
+// negative answers indefinitely. One hook per provider: a later call
+// replaces the earlier one; nil removes it.
+func (p *Provider) SetOnListed(fn func(ip string)) {
+	p.mu.Lock()
+	p.onListed = fn
+	p.mu.Unlock()
+}
+
+// listed publishes a new listing of ip: the generation bump, then the
+// listing hook. Caller must not hold p.mu.
+func (p *Provider) listed(ip string) {
+	p.gen.Add(1)
+	p.mu.RLock()
+	fn := p.onListed
+	p.mu.RUnlock()
+	if fn != nil {
+		fn(ip)
+	}
+}
+
+// Query is the fallible lookup the CR filter chain uses: Lookup without
+// the listing's end time.
 func (p *Provider) Query(ip string) (bool, error) {
+	listed, _, err := p.Lookup(ip)
+	return listed, err
+}
+
+// Lookup consults the injector and returns an error for an injected
+// outage/timeout, a stale (always-unlisted) answer for KindStale, and
+// the true listing state otherwise. until is the end of a timed listing
+// — the answer stays "listed" while the clock is before it — and zero
+// for static listings and for "not listed".
+func (p *Provider) Lookup(ip string) (listed bool, until time.Time, err error) {
 	p.mu.RLock()
 	inj := p.inj
 	p.mu.RUnlock()
 	if inj != nil {
 		d := inj.Decide("rbl:"+p.name, DefaultQueryTimeout)
 		if d.Err != nil {
-			return false, fmt.Errorf("rbl: %s query: %w", p.name, d.Err)
+			return false, time.Time{}, fmt.Errorf("rbl: %s query: %w", p.name, d.Err)
 		}
 		if d.Kind == faults.KindStale {
 			p.stale.Add(1)
-			return false, nil
+			return false, time.Time{}, nil
 		}
 	}
-	return p.IsListed(ip), nil
+	listed, until = p.state(ip)
+	return listed, until, nil
 }
 
 // StaleAnswers returns how many queries were served from injected stale
@@ -149,7 +186,7 @@ func (p *Provider) AddStatic(ip string) {
 	p.mu.Lock()
 	p.manual[ip] = true
 	p.mu.Unlock()
-	p.gen.Add(1)
+	p.listed(ip)
 }
 
 // ReportTrapHit records that ip delivered a message to a spamtrap and
@@ -157,8 +194,16 @@ func (p *Provider) AddStatic(ip string) {
 func (p *Provider) ReportTrapHit(ip string) {
 	now := p.clk.Now()
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	opened := p.recordHitLocked(ip, now)
+	p.mu.Unlock()
+	if opened {
+		p.listed(ip)
+	}
+}
 
+// recordHitLocked slides ip's hit window, extends a live listing or
+// opens a new one, and reports whether it opened one. Caller holds p.mu.
+func (p *Provider) recordHitLocked(ip string, now time.Time) bool {
 	// Slide the window.
 	recent := p.hits[ip][:0]
 	for _, t := range p.hits[ip] {
@@ -175,19 +220,21 @@ func (p *Provider) ReportTrapHit(ip string) {
 		// gives for any IP right now, so cached memos stay valid. (Bumping
 		// here used to flush the whole RBL cache on nearly every trap hit
 		// from an already-listed botnet IP, collapsing the hit rate to ~5%.)
+		// A memo holding the old end time re-queries when it passes.
 		p.listings[ip] = now.Add(p.policy.ListingTTL)
-		return
+		return false
 	}
-	if len(recent) >= p.policy.HitThreshold {
-		// Re-listing over an expired-but-unswept entry: close the stale
-		// interval at its old expiry before opening a new one.
-		if until, ok := p.listings[ip]; ok && !until.After(now) {
-			p.closeIntervalLocked(ip, until)
-		}
-		p.listings[ip] = now.Add(p.policy.ListingTTL)
-		p.history[ip] = append(p.history[ip], Interval{From: now})
-		p.gen.Add(1)
+	if len(recent) < p.policy.HitThreshold {
+		return false
 	}
+	// Re-listing over an expired-but-unswept entry: close the stale
+	// interval at its old expiry before opening a new one.
+	if until, ok := p.listings[ip]; ok && !until.After(now) {
+		p.closeIntervalLocked(ip, until)
+	}
+	p.listings[ip] = now.Add(p.policy.ListingTTL)
+	p.history[ip] = append(p.history[ip], Interval{From: now})
+	return true
 }
 
 // IsListed reports whether ip is currently listed. It is a pure read: an
@@ -195,14 +242,23 @@ func (p *Provider) ReportTrapHit(ip string) {
 // bookkeeping, generation bump) is deferred to the next Sweep — so
 // concurrent lookups share a read lock and never mutate provider state.
 func (p *Provider) IsListed(ip string) bool {
+	listed, _ := p.state(ip)
+	return listed
+}
+
+// state is the listing state of ip at the provider's clock: listed, and
+// until as Lookup documents it.
+func (p *Provider) state(ip string) (bool, time.Time) {
 	now := p.clk.Now()
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.manual[ip] {
-		return true
+		return true, time.Time{}
 	}
-	until, ok := p.listings[ip]
-	return ok && until.After(now)
+	if until, ok := p.listings[ip]; ok && until.After(now) {
+		return true, until
+	}
+	return false, time.Time{}
 }
 
 // Sweep eagerly removes every listing that has expired at now, closing

@@ -297,3 +297,52 @@ func BenchmarkTrapHit(b *testing.B) {
 		reg.Hit(trap, "198.51.100.1")
 	}
 }
+
+// TestOnListedHook pins the listing hook's contract: it fires for a
+// static add, a listing that opens and a re-listing over an expired,
+// unswept entry — each after the generation bump — and never for a hit
+// that only extends a live listing or stays below the threshold.
+func TestOnListedHook(t *testing.T) {
+	clk := clock.NewSim(t0)
+	p := NewProvider("test", Policy{HitThreshold: 2, Window: time.Hour, ListingTTL: 2 * time.Hour}, clk)
+	var got []string
+	var gens []uint64
+	p.SetOnListed(func(ip string) {
+		got = append(got, ip)
+		gens = append(gens, p.Gen())
+	})
+	gen := p.Gen()
+
+	p.AddStatic("203.0.113.1")
+	p.ReportTrapHit("198.51.100.1") // below threshold
+	p.ReportTrapHit("198.51.100.1") // opens
+	clk.Advance(time.Hour)
+	p.ReportTrapHit("198.51.100.1") // extends to t0+3h
+	clk.Advance(3 * time.Hour)      // lapses, no Sweep
+	p.ReportTrapHit("198.51.100.1") // below threshold again
+	p.ReportTrapHit("198.51.100.1") // re-lists over the unswept entry
+
+	if want := []string{"203.0.113.1", "198.51.100.1", "198.51.100.1"}; !slices.Equal(got, want) {
+		t.Fatalf("hook calls = %v, want %v", got, want)
+	}
+	if want := []uint64{gen + 1, gen + 2, gen + 3}; !slices.Equal(gens, want) {
+		t.Fatalf("generation seen by the hook = %v, want %v (bump first)", gens, want)
+	}
+
+	listed, until, err := p.Lookup("198.51.100.1")
+	if !listed || err != nil || !until.Equal(clk.Now().Add(2*time.Hour)) {
+		t.Fatalf("Lookup = %v, %v, %v; want listed until now+2h", listed, until, err)
+	}
+	if listed, until, _ := p.Lookup("203.0.113.1"); !listed || !until.IsZero() {
+		t.Fatalf("static Lookup = %v, %v; want listed with zero end", listed, until)
+	}
+	if listed, until, _ := p.Lookup("192.0.2.1"); listed || !until.IsZero() {
+		t.Fatalf("unlisted Lookup = %v, %v", listed, until)
+	}
+
+	p.SetOnListed(nil)
+	p.AddStatic("203.0.113.2")
+	if len(got) != 3 {
+		t.Fatalf("removed hook still called: %v", got)
+	}
+}

@@ -314,11 +314,9 @@ func NewFleet(cfg Config) *Fleet {
 	if f.Injector == nil {
 		f.DNSCache = dnscache.New(f.DNS, dnscache.Options{Clock: f.Clk, Gen: f.DNS.Gen})
 		f.resolve = f.DNSCache
-		// Explicit-invalidation mode: entries live until a fired barrier
-		// invalidates exactly the IPs whose listing state changed (sweep
-		// delists + flushed trap hits, see fireBarrier). Negative entries
-		// for the never-listed majority therefore persist run-long.
-		f.RBLCache = dnscache.NewRBLExplicit(f.filterProvider(), f.Clk)
+		// The provider's listing hook keeps the memo exact, so negative
+		// entries for the never-listed majority persist run-long.
+		f.RBLCache = dnscache.NewRBL(f.filterProvider(), f.Clk, 0)
 		f.Net.SetResolvable(f.DNSCache.Resolvable)
 	}
 

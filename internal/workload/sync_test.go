@@ -42,10 +42,10 @@ func TestSparseBarrierLedger(t *testing.T) {
 	}
 }
 
-// TestFleetRBLCacheHitRate is the acceptance gate for the explicit-
-// invalidation RBL memo: across a fleet run the overwhelming majority of
-// blocklist lookups must be served from the memo. (The old TTL+
-// generation cache measured ~5% here.)
+// TestFleetRBLCacheHitRate is the acceptance gate for the RBL memo:
+// across a fleet run the overwhelming majority of blocklist lookups must
+// be served from the memo. (The old TTL+generation cache measured ~5%
+// here.)
 func TestFleetRBLCacheHitRate(t *testing.T) {
 	f := NewFleet(smallConfig(5))
 	f.Run(3)
