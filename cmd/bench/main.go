@@ -4,7 +4,7 @@
 // aggregate results are worker-count-invariant, so only wall-clock
 // differs) and reports wall-clock, messages/second, allocations/message,
 // mutex-contention time per message, the resolver cache hit rates and
-// the sparse-barrier/steal-scheduler counters.
+// the sparse-barrier counters.
 //
 // Usage:
 //
@@ -58,11 +58,9 @@ type result struct {
 	RBLCacheRate      float64 `json:"rbl_cache_hit_rate"`
 	RBLLookups        int64   `json:"rbl_cache_lookups"`
 	// Sparse-synchronization counters (workload.SyncStats): how many
-	// hourly barriers actually fired vs were skipped, and how many lane
-	// work items the pool stole across workers.
+	// hourly barriers actually fired vs were skipped.
 	BarriersFired   int64 `json:"barriers_fired"`
 	BarriersSkipped int64 `json:"barriers_skipped"`
-	Steals          int64 `json:"steals"`
 }
 
 // report is the BENCH_fleet.json document.
@@ -161,7 +159,6 @@ func measure(seed int64, days, companies, workers int, userScale, volumeScale fl
 	sync := f.SyncStats()
 	r.BarriersFired = sync.BarriersFired
 	r.BarriersSkipped = sync.BarriersSkipped
-	r.Steals = sync.Steals
 	return r
 }
 
@@ -361,9 +358,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "running fleet: %d companies x %d days, workers=%d...\n",
 				nc, *days, w)
 			r := measure(*seed, *days, nc, w, q.UserScale, q.VolumeScale)
-			fmt.Fprintf(os.Stderr, "  %.2fs wall, %.0f msgs/sec, %.1f allocs/msg, %.0f mutex-ns/msg, dns hit %.3f, rbl hit %.3f, barriers %d/%d, steals %d\n",
+			fmt.Fprintf(os.Stderr, "  %.2fs wall, %.0f msgs/sec, %.1f allocs/msg, %.0f mutex-ns/msg, dns hit %.3f, rbl hit %.3f, barriers %d/%d\n",
 				r.WallClockSec, r.MsgsPerSec, r.AllocsPerMsg, r.MutexWaitNsPerMsg, r.DNSCacheRate, r.RBLCacheRate,
-				r.BarriersFired, r.BarriersFired+r.BarriersSkipped, r.Steals)
+				r.BarriersFired, r.BarriersFired+r.BarriersSkipped)
 			rep.Runs = append(rep.Runs, r)
 			switch {
 			case w == 1:

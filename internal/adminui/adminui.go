@@ -50,14 +50,13 @@ type Server struct {
 	syncFn   func() SyncStats
 }
 
-// SyncStats carries the fleet driver's sparse-barrier and
-// steal-scheduler counters for /metrics. It mirrors
-// workload.SyncStats field-for-field so a fleet host can adapt with a
-// one-line closure, without adminui depending on the workload package.
+// SyncStats carries the fleet driver's sparse-barrier counters for
+// /metrics. It mirrors the same-named fields of workload.SyncStats so a
+// fleet host can adapt with a one-line closure, without adminui
+// depending on the workload package.
 type SyncStats struct {
 	BarriersFired   int64
 	BarriersSkipped int64
-	Steals          int64
 	TrapHitsApplied int64
 }
 
@@ -75,7 +74,7 @@ func (s *Server) SetResolverCaches(dns *dnscache.Cache, rbl *dnscache.RBLCache) 
 
 // SetSyncSource registers a callback supplying the fleet's sparse-
 // barrier counters so /metrics exports barrier_fired_total,
-// barrier_skipped_total and steal_count_total (nil detaches).
+// barrier_skipped_total and trap_hits_applied_total (nil detaches).
 func (s *Server) SetSyncSource(fn func() SyncStats) { s.syncFn = fn }
 
 // SetOverload registers the deployment's admission controller so
@@ -294,7 +293,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		ss := s.syncFn()
 		fmt.Fprintf(w, "barrier_fired_total %d\n", ss.BarriersFired)
 		fmt.Fprintf(w, "barrier_skipped_total %d\n", ss.BarriersSkipped)
-		fmt.Fprintf(w, "steal_count_total %d\n", ss.Steals)
 		fmt.Fprintf(w, "trap_hits_applied_total %d\n", ss.TrapHitsApplied)
 	}
 	if s.ctl != nil {

@@ -263,12 +263,12 @@ func TestSyncMetrics(t *testing.T) {
 		t.Fatal("sync counters exported without a source")
 	}
 	ui.SetSyncSource(func() SyncStats {
-		return SyncStats{BarriersFired: 42, BarriersSkipped: 126, Steals: 7, TrapHitsApplied: 3}
+		return SyncStats{BarriersFired: 42, BarriersSkipped: 126, TrapHitsApplied: 3}
 	})
 	_, body := get(t, srv.URL+"/metrics")
 	for _, want := range []string{
 		"barrier_fired_total 42", "barrier_skipped_total 126",
-		"steal_count_total 7", "trap_hits_applied_total 3",
+		"trap_hits_applied_total 3",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)

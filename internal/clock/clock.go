@@ -11,6 +11,7 @@ import (
 	"container/heap"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -26,24 +27,38 @@ type Real struct{}
 // Now returns time.Now().
 func (Real) Now() time.Time { return time.Now() }
 
-// Sim is a manually-advanced virtual clock. It is safe for concurrent use.
+// Sim is a manually-advanced virtual clock. It is safe for concurrent
+// use: Now is a lock-free atomic read that does not allocate, so every
+// simulation lane can read a shared clock without contending on it,
+// while the writers (Advance, Set, AdvanceTo) are serialized by a mutex.
 //
-// The zero value is not useful; construct with NewSim.
+// The instant is held as Unix nanoseconds plus its Location, so a Sim
+// covers the years 1678 to 2262. The zero value is not useful;
+// construct with NewSim.
 type Sim struct {
-	mu  sync.Mutex
-	now time.Time
+	mu  sync.Mutex // serializes writers
+	ns  atomic.Int64
+	loc atomic.Pointer[time.Location]
 }
 
 // NewSim returns a simulated clock initialised to start.
 func NewSim(start time.Time) *Sim {
-	return &Sim{now: start}
+	s := &Sim{}
+	s.store(start)
+	return s
 }
 
 // Now returns the current virtual time.
 func (s *Sim) Now() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.now
+	return time.Unix(0, s.ns.Load()).In(s.loc.Load())
+}
+
+// store publishes t. The caller holds s.mu (or, in NewSim, owns s).
+func (s *Sim) store(t time.Time) {
+	if loc := t.Location(); loc != s.loc.Load() {
+		s.loc.Store(loc)
+	}
+	s.ns.Store(t.UnixNano())
 }
 
 // Advance moves the clock forward by d. It panics if d is negative:
@@ -53,7 +68,7 @@ func (s *Sim) Advance(d time.Duration) {
 		panic(fmt.Sprintf("clock: Advance by negative duration %v", d))
 	}
 	s.mu.Lock()
-	s.now = s.now.Add(d)
+	s.ns.Add(int64(d))
 	s.mu.Unlock()
 }
 
@@ -61,10 +76,10 @@ func (s *Sim) Advance(d time.Duration) {
 func (s *Sim) Set(t time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if t.Before(s.now) {
-		panic(fmt.Sprintf("clock: Set to %v before current %v", t, s.now))
+	if t.UnixNano() < s.ns.Load() {
+		panic(fmt.Sprintf("clock: Set to %v before current %v", t, s.Now()))
 	}
-	s.now = t
+	s.store(t)
 }
 
 // AdvanceTo is a monotone Set: it jumps the clock to t if t is later
@@ -74,8 +89,8 @@ func (s *Sim) Set(t time.Time) {
 func (s *Sim) AdvanceTo(t time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if t.After(s.now) {
-		s.now = t
+	if t.UnixNano() > s.ns.Load() {
+		s.store(t)
 	}
 }
 

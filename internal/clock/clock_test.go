@@ -187,3 +187,71 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 	}
 	s.RunFor(time.Hour)
 }
+
+// TestSimNowConcurrentWithWriters reads the clock from several
+// goroutines while one writer moves it; under -race it also proves the
+// lock-free read path is race-free. No reader ever sees time go back.
+func TestSimNowConcurrentWithWriters(t *testing.T) {
+	c := NewSim(t0)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last := c.Now()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				now := c.Now()
+				if now.Before(last) {
+					t.Errorf("Now went backwards: %v after %v", now, last)
+					return
+				}
+				last = now
+			}
+		}()
+	}
+	for i := 1; i <= 2000; i++ {
+		if i%2 == 0 {
+			c.AdvanceTo(t0.Add(time.Duration(i) * time.Second))
+		} else {
+			c.Set(t0.Add(time.Duration(i) * time.Second))
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if want := t0.Add(2000 * time.Second); !c.Now().Equal(want) {
+		t.Fatalf("Now() = %v, want %v", c.Now(), want)
+	}
+}
+
+func TestSimNowDoesNotAllocate(t *testing.T) {
+	c := NewSim(t0)
+	if n := testing.AllocsPerRun(100, func() { _ = c.Now() }); n != 0 {
+		t.Fatalf("Now allocates %.1f times per call, want 0", n)
+	}
+}
+
+// TestSimNowKeepsSetValueAndLocation: Now returns exactly the instant
+// and Location that Set stored.
+func TestSimNowKeepsSetValueAndLocation(t *testing.T) {
+	c := NewSim(t0)
+	if got := c.Now(); got != t0 {
+		t.Fatalf("Now() = %#v, want the identical value %#v", got, t0)
+	}
+	east := time.FixedZone("UTC+3", 3*60*60)
+	for _, want := range []time.Time{
+		time.Date(2010, 8, 2, 10, 30, 0, 123456789, east),
+		time.Date(2010, 9, 1, 0, 0, 0, 1, time.UTC),
+	} {
+		c.Set(want)
+		got := c.Now()
+		if !got.Equal(want) || got.Location() != want.Location() {
+			t.Fatalf("Now() = %v (%v), want %v (%v)", got, got.Location(), want, want.Location())
+		}
+	}
+}

@@ -40,7 +40,6 @@ func TestWorkerCountInvariance(t *testing.T) {
 		// barrier under one worker count but not another would mean the
 		// predicate saw different staged effects.
 		syncS, syncP := serial.Fleet.SyncStats(), parallel.Fleet.SyncStats()
-		syncS.Steals, syncP.Steals = 0, 0 // scheduling detail, not an outcome
 		if !reflect.DeepEqual(syncS, syncP) {
 			t.Errorf("barrier pattern diverges:\nworkers=1: %+v\nworkers=%d: %+v", syncS, workers, syncP)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -37,8 +38,8 @@ type Config struct {
 	// fast experiment runs; the proportions are volume-invariant).
 	ScaleVolume float64
 	// Workers is the worker-pool size for Run: companies advance in
-	// parallel on a work-stealing lane scheduler, rendezvousing at
-	// hourly epoch edges where cross-lane barriers fire only for epochs
+	// parallel, the workers claiming lanes heaviest first, rendezvousing
+	// at hourly epoch edges where cross-lane barriers fire only for epochs
 	// with staged effects (see ledger.go). 0 means GOMAXPROCS; 1 runs
 	// the same epoch algorithm serially. Results are identical
 	// for every value — each company owns its clock, scheduler and RNG
@@ -137,11 +138,14 @@ type Config struct {
 	CheckerPeriod time.Duration // §5.1 blacklist polling period
 	// LogSink, when non-nil, receives every engine's decision events
 	// (the maillog stream the paper's measurement pipeline parsed).
-	// Called from the simulation goroutine; must be fast.
-	LogSink func(maillog.Event)
 	// TraceSink, when non-nil, receives every generated message as a
 	// trace.Record so workloads can be frozen to disk and replayed
 	// against differently-configured engines (internal/trace).
+	//
+	// One drain goroutine calls both sinks, never concurrently, in
+	// canonical (company-name) lane order per fired barrier, while the
+	// lanes simulate on; every call has completed when Run returns.
+	LogSink   func(maillog.Event)
 	TraceSink func(trace.Record)
 }
 
@@ -186,9 +190,11 @@ type botIP struct {
 }
 
 // GrayEntry is the per-challenged-message context the offline SPF
-// experiment (Figure 12) joins against challenge records.
+// experiment (Figure 12) joins against challenge records, with the
+// message's ground-truth class.
 type GrayEntry struct {
 	MsgID    string
+	Class    Class
 	From     mail.Address
 	ClientIP string
 	Subject  string
@@ -243,19 +249,18 @@ type Fleet struct {
 	spamCamps     []*Campaign
 	newsCamps     []*Campaign
 
-	// mu guards the merged shared state below. Lanes read it mid-epoch
-	// (laneTruth fallback) under the read lock; the only writers are the
-	// barrier merge and the day counter, which run with all lanes parked.
-	mu          sync.RWMutex
-	truth       map[string]Class
-	grayLog     map[string]GrayEntry
-	classCounts map[Class]int64
-	day         int
+	// mu guards the day counter for Day. Run writes it between days
+	// with every lane parked, which is why the lanes read it unlocked.
+	mu  sync.RWMutex
+	day int
 
-	// ledger is the sparse-barrier / steal-scheduler bookkeeping
-	// (ledger.go): epoch, fired/skipped-barrier, steal and trap-hit
-	// counters plus the shared-clock watermark.
+	// ledger is the sparse-barrier bookkeeping (ledger.go): epoch,
+	// fired/skipped-barrier and trap-hit counters plus the shared-clock
+	// watermark.
 	ledger syncLedger
+	// draining is closed when the last sink handoff's drain goroutine
+	// has finished (nil when none is running).
+	draining chan struct{}
 }
 
 // FleetStart is the simulation epoch, matching the study's first
@@ -270,21 +275,18 @@ func NewFleet(cfg Config) *Fleet {
 		cfg.ScaleVolume = 1
 	}
 	f := &Fleet{
-		Cfg:         cfg,
-		Clk:         clock.NewSim(FleetStart),
-		Start:       FleetStart,
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		profiles:    make(map[string]CompanyProfile),
-		users:       make(map[string][]mail.Address),
-		seededWL:    make(map[mail.Address][]mail.Address),
-		seededBL:    make(map[mail.Address][]mail.Address),
-		rejectedBy:  make(map[string]mail.Address),
-		activity:    make(map[mail.Address]float64),
-		greylists:   make(map[string]*greylist.Store),
-		reputation:  make(map[string]*reputation.Store),
-		truth:       make(map[string]Class),
-		grayLog:     make(map[string]GrayEntry),
-		classCounts: make(map[Class]int64),
+		Cfg:        cfg,
+		Clk:        clock.NewSim(FleetStart),
+		Start:      FleetStart,
+		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		profiles:   make(map[string]CompanyProfile),
+		users:      make(map[string][]mail.Address),
+		seededWL:   make(map[mail.Address][]mail.Address),
+		seededBL:   make(map[mail.Address][]mail.Address),
+		rejectedBy: make(map[string]mail.Address),
+		activity:   make(map[mail.Address]float64),
+		greylists:  make(map[string]*greylist.Store),
+		reputation: make(map[string]*reputation.Store),
 	}
 	f.Sched = clock.NewScheduler(f.Clk)
 	f.DNS = dnssim.NewServer()
@@ -334,7 +336,6 @@ const (
 	saltCampaignCovers
 	saltCampaignTargets
 	saltSurge
-	saltSteal
 )
 
 // deriveSeed hashes a base seed and salts into the seed of an
@@ -568,9 +569,10 @@ func (f *Fleet) drawSpoof(trapShare float64) mail.Address {
 
 // companyLane is the per-company execution context: its own virtual
 // clock, scheduler, RNG stream, message-ID source, sink buffers and
-// ground-truth staging maps. A lane is advanced by exactly one worker
-// per epoch, so everything here is single-threaded; lane-local state is
-// merged into the shared maps behind f.mu only at epoch barriers.
+// ground truth. A lane is advanced by exactly one worker per epoch and
+// the coordinator touches it only with every lane parked, so nothing
+// here is locked; the one exception is the spare sink buffers, which
+// the drain goroutine reads while the lane fills the live ones.
 type companyLane struct {
 	idx     int // profile index: the stable salt for derived RNG streams
 	comp    *simnet.Company
@@ -580,17 +582,19 @@ type companyLane struct {
 	rng     *rand.Rand
 	ids     *mail.IDSource
 
-	// Sink buffers: maillog/trace events are buffered per lane and
-	// flushed at the epoch barrier in lane (company-name) order, so the
-	// streams the measurement pipeline sees are worker-count-invariant.
-	logBuf   []maillog.Event
-	traceBuf []trace.Record
+	// Sink buffers: maillog/trace events are buffered per lane (only
+	// for a configured sink) and handed to the drain at each fired
+	// barrier, which swaps them with the spares it drained last time
+	// (handOffSinks). The drain walks lanes in company-name order, so
+	// the streams the measurement pipeline sees are
+	// worker-count-invariant.
+	logBuf, logSpare     []maillog.Event
+	traceBuf, traceSpare []trace.Record
 
-	// Ground-truth staging: written lock-free on the lane goroutine,
-	// merged into Fleet.truth/grayLog/classCounts behind f.mu at each
-	// epoch barrier (mergeLaneState). The injection hot path therefore
-	// never touches the shared mutex.
-	truth       map[string]Class
+	// Ground truth, read back by weedDigest and the Truth, GrayLog and
+	// ClassCounts accessors: the gray-spool context of every accepted
+	// gray-bound message, and how many messages of each class the lane
+	// generated.
 	grayLog     map[string]GrayEntry
 	classCounts [ClassSpam + 1]int64
 
@@ -639,7 +643,6 @@ func (f *Fleet) buildCompanies() {
 			clk:     clock.NewSim(FleetStart),
 			rng:     rand.New(rand.NewSource(deriveSeed(f.Cfg.Seed, saltLaneRNG, int64(i)))),
 			ids:     mail.NewIDSource(p.Name),
-			truth:   make(map[string]Class),
 			grayLog: make(map[string]GrayEntry),
 			targets: make(map[int][]mail.Address),
 			names:   newInterner(),
@@ -723,8 +726,10 @@ func (f *Fleet) buildCompanies() {
 			oc := *f.Cfg.Overload
 			oc.Name = p.Name
 			oc.Clock = ln.clk
-			oc.EventSink = func(ev maillog.Event) {
-				ln.logBuf = append(ln.logBuf, ev)
+			if f.Cfg.LogSink != nil {
+				oc.EventSink = func(ev maillog.Event) {
+					ln.logBuf = append(ln.logBuf, ev)
+				}
 			}
 			ln.ctl = overload.New(oc)
 			// Under queue pressure the engine sheds its probe-filter
@@ -824,21 +829,32 @@ func (f *Fleet) Day() int {
 	return f.day
 }
 
-// Truth returns the ground-truth class of a generated message.
+// Truth returns the ground-truth class of a message that the MTA
+// accepted and that was bound for the gray spool (the classes that can
+// be challenged or reach a digest); other messages are not recorded.
+// Truth, ClassCounts and GrayLog read the lanes' own maps, so they must
+// not be called while Run is running.
 func (f *Fleet) Truth(msgID string) (Class, bool) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	c, ok := f.truth[msgID]
-	return c, ok
+	// Lane message IDs are "<company>-<sequence>" and f.lanes is sorted
+	// by company name.
+	company := msgID[:max(0, strings.LastIndexByte(msgID, '-'))]
+	i := sort.Search(len(f.lanes), func(i int) bool { return f.lanes[i].comp.Name >= company })
+	if i == len(f.lanes) || f.lanes[i].comp.Name != company {
+		return 0, false
+	}
+	g, ok := f.lanes[i].grayLog[msgID]
+	return g.Class, ok
 }
 
 // ClassCounts returns how many messages of each class were generated.
 func (f *Fleet) ClassCounts() map[Class]int64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	out := make(map[Class]int64, len(f.classCounts))
-	for k, v := range f.classCounts {
-		out[k] = v
+	out := make(map[Class]int64)
+	for _, ln := range f.lanes {
+		for cl, n := range ln.classCounts {
+			if n != 0 {
+				out[Class(cl)] += n
+			}
+		}
 	}
 	return out
 }
@@ -846,11 +862,15 @@ func (f *Fleet) ClassCounts() map[Class]int64 {
 // GrayLog returns the per-message context captured for messages that
 // entered the gray spool, keyed by message ID.
 func (f *Fleet) GrayLog() map[string]GrayEntry {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	out := make(map[string]GrayEntry, len(f.grayLog))
-	for k, v := range f.grayLog {
-		out[k] = v
+	n := 0
+	for _, ln := range f.lanes {
+		n += len(ln.grayLog)
+	}
+	out := make(map[string]GrayEntry, n)
+	for _, ln := range f.lanes {
+		for k, v := range ln.grayLog {
+			out[k] = v
+		}
 	}
 	return out
 }

@@ -19,33 +19,33 @@ import (
 // fire/skip pattern — and with it every effect's virtual apply time —
 // is identical for any worker count.
 
-// SyncStats is a snapshot of the sparse-barrier and steal-scheduler
-// counters accumulated across Run calls.
+// SyncStats is a snapshot of the sparse-barrier counters accumulated
+// across Run calls.
 type SyncStats struct {
 	// Epochs is the number of one-hour epochs executed.
 	Epochs int64
 	// BarriersFired counts epochs whose barrier ran the full cross-lane
 	// work (clock advance, provider sweeps, trap-hit flush, checker
-	// poll, state merge, sink flush).
+	// poll, sink handoff).
 	BarriersFired int64
 	// BarriersSkipped counts epochs with no staged effect, skipped with
 	// only a watermark bookkeeping update.
 	BarriersSkipped int64
-	// Steals counts lane work items executed by a worker other than the
-	// one they were dealt to at epoch start.
+	// Steals is always 0. The lane scheduler no longer steals work (the
+	// workers claim lanes from one shared order, see schedule.go); the
+	// field stays for existing readers of the struct.
 	Steals int64
 	// TrapHitsApplied counts staged spamtrap hits applied at barriers.
 	TrapHitsApplied int64
 }
 
-// syncLedger holds the counters behind SyncStats. Steals are bumped by
-// pool workers mid-epoch (hence atomics); the rest only by the
-// coordinator between epochs.
+// syncLedger holds the counters behind SyncStats. Only the coordinator
+// writes them, between epochs; the atomics let SyncStats read them from
+// any goroutine.
 type syncLedger struct {
 	epochs      atomic.Int64
 	fired       atomic.Int64
 	skipped     atomic.Int64
-	steals      atomic.Int64
 	trapApplied atomic.Int64
 	// watermark is the virtual time of the last fired barrier, i.e. how
 	// far the *shared* clock has advanced (lanes may be ahead of it
@@ -53,13 +53,12 @@ type syncLedger struct {
 	watermark atomic.Int64 // unix nanos
 }
 
-// SyncStats returns the sparse-barrier / steal-scheduler counters.
+// SyncStats returns the sparse-barrier counters.
 func (f *Fleet) SyncStats() SyncStats {
 	return SyncStats{
 		Epochs:          f.ledger.epochs.Load(),
 		BarriersFired:   f.ledger.fired.Load(),
 		BarriersSkipped: f.ledger.skipped.Load(),
-		Steals:          f.ledger.steals.Load(),
 		TrapHitsApplied: f.ledger.trapApplied.Load(),
 	}
 }
@@ -102,8 +101,8 @@ func (f *Fleet) barrierDue(epochEnd time.Time) bool {
 // fireBarrier runs the full cross-lane barrier at epochEnd: advance the
 // shared clock from the watermark, drain the shared scheduler, expire
 // blocklist listings eagerly (Provider.Sweep), apply staged trap hits
-// in company-name order, poll the §5.1 checker when due, and fold lane
-// staging into the shared state. All lanes are parked.
+// in company-name order, poll the §5.1 checker when due, and hand the
+// lanes' buffered sink events to the drain. All lanes are parked.
 func (f *Fleet) fireBarrier(epochEnd time.Time) {
 	f.ledger.fired.Add(1)
 	f.Clk.AdvanceTo(epochEnd)
@@ -125,7 +124,6 @@ func (f *Fleet) fireBarrier(epochEnd time.Time) {
 			f.Checker.Poll(f.allOutIPs())
 		}
 	}
-	f.mergeLaneState()
-	f.flushSinks()
+	f.handOffSinks()
 	f.ledger.watermark.Store(epochEnd.UnixNano())
 }

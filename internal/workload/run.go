@@ -25,22 +25,33 @@ import (
 // §5.1 blacklist poll.
 //
 // Companies execute on independent lanes advanced in one-hour epochs by
-// a persistent work-stealing pool of Config.Workers goroutines
-// (schedule.go). Cross-lane synchronization is *sparse*: at each epoch
-// rendezvous the effect ledger (ledger.go) decides whether any
-// cross-company effect was staged — trap hits, a due checker poll, a
-// pending shared-scheduler event — and only then does the barrier fire;
-// idle epochs are skipped with a watermark advance and the shared clock
-// stays frozen. The last epoch of every day always fires, so public
-// accessors are consistent whenever Run returns. All effects apply in
-// company-name order at deterministic virtual times, so the results are
-// bit-for-bit identical for any worker count.
+// a persistent pool of Config.Workers goroutines claiming lanes
+// heaviest first (schedule.go). Cross-lane synchronization is *sparse*:
+// at each epoch rendezvous the effect ledger (ledger.go) decides
+// whether any cross-company effect was staged — trap hits, a due
+// checker poll, a pending shared-scheduler event — and only then does
+// the barrier fire; idle epochs are skipped with a watermark advance
+// and the shared clock stays frozen. A fired barrier hands the buffered
+// sink events to a drain goroutine that runs beside the next epochs.
+// The last epoch of every day always fires, and Run waits for the last
+// drain before it returns, so public accessors and sinks are complete
+// whenever Run returns. All effects apply in company-name order at
+// deterministic virtual times, so the results are bit-for-bit identical
+// for any worker count.
 func (f *Fleet) Run(days int) {
 	if days <= 0 {
 		return
 	}
 	ls := newLaneScheduler(f, f.workers())
 	defer ls.stop()
+	defer func() {
+		// The drained spares would otherwise pin the last handoff's
+		// events until the next Run.
+		f.waitSinks()
+		for _, ln := range f.lanes {
+			ln.logSpare, ln.traceSpare = nil, nil
+		}
+	}()
 	for d := 0; d < days; d++ {
 		dayStart := f.scheduleDay()
 		for h := 1; h <= 24; h++ {
@@ -48,8 +59,8 @@ func (f *Fleet) Run(days int) {
 			ls.advance(epochEnd)
 			f.ledger.epochs.Add(1)
 			// The day's final epoch always fires: it bounds sink-buffer
-			// growth and leaves the shared clock, merged state and day
-			// counter consistent for between-Run readers.
+			// growth and leaves the shared clock and day counter
+			// consistent for between-Run readers.
 			if h == 24 || f.barrierDue(epochEnd) {
 				f.fireBarrier(epochEnd)
 			} else {
@@ -124,62 +135,42 @@ func (f *Fleet) scheduleDay() time.Time {
 	return dayStart
 }
 
-// mergeLaneState folds every lane's staged ground-truth writes (truth
-// labels, gray-spool context, class counts) into the shared maps under
-// one f.mu acquisition per barrier. During the epoch the lanes write
-// these lock-free into lane-local staging, so the per-message hot path
-// never contends on f.mu; readers of the public accessors see state
-// complete up to the last barrier.
-func (f *Fleet) mergeLaneState() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, ln := range f.lanes {
-		for id, c := range ln.truth {
-			f.truth[id] = c
-		}
-		clear(ln.truth)
-		for id, g := range ln.grayLog {
-			f.grayLog[id] = g
-		}
-		clear(ln.grayLog)
-		for cl, n := range ln.classCounts {
-			if n != 0 {
-				f.classCounts[Class(cl)] += n
-				ln.classCounts[cl] = 0
-			}
-		}
+// handOffSinks passes every lane's buffered maillog/trace events to a
+// drain goroutine, which feeds them to the configured sinks in
+// canonical lane order while the lanes run the next epochs. Each lane
+// swaps its filled buffers for its spares, drained by the previous
+// handoff — which is waited for first, so the sinks are never called
+// concurrently and see exactly the sequence a flush with every lane
+// parked would give. All lanes are parked.
+func (f *Fleet) handOffSinks() {
+	if f.Cfg.LogSink == nil && f.Cfg.TraceSink == nil {
+		return
 	}
-}
-
-// laneTruth looks up a message's ground-truth class: the lane's staging
-// map first (entries from the current epoch, lock-free), then the shared
-// merged map.
-func (f *Fleet) laneTruth(ln *companyLane, id string) (Class, bool) {
-	if c, ok := ln.truth[id]; ok {
-		return c, true
-	}
-	f.mu.RLock()
-	c, ok := f.truth[id]
-	f.mu.RUnlock()
-	return c, ok
-}
-
-// flushSinks drains every lane's buffered maillog/trace events to the
-// configured sinks, in canonical lane order.
-func (f *Fleet) flushSinks() {
+	f.waitSinks()
 	for _, ln := range f.lanes {
-		if f.Cfg.LogSink != nil {
-			for _, ev := range ln.logBuf {
+		ln.logBuf, ln.logSpare = ln.logSpare[:0], ln.logBuf
+		ln.traceBuf, ln.traceSpare = ln.traceSpare[:0], ln.traceBuf
+	}
+	done := make(chan struct{})
+	f.draining = done
+	go func() {
+		defer close(done)
+		for _, ln := range f.lanes {
+			for _, ev := range ln.logSpare {
 				f.Cfg.LogSink(ev)
 			}
-		}
-		ln.logBuf = ln.logBuf[:0]
-		if f.Cfg.TraceSink != nil {
-			for _, r := range ln.traceBuf {
+			for _, r := range ln.traceSpare {
 				f.Cfg.TraceSink(r)
 			}
 		}
-		ln.traceBuf = ln.traceBuf[:0]
+	}()
+}
+
+// waitSinks returns once the last handoff's drain has finished.
+func (f *Fleet) waitSinks() {
+	if f.draining != nil {
+		<-f.draining
+		f.draining = nil
 	}
 }
 
@@ -247,8 +238,8 @@ func drawClass(rng *rand.Rand, m Mix) Class {
 
 // injectOne generates and delivers one message to a company's MTA-IN.
 // It runs on the lane's goroutine: all randomness comes from the lane
-// RNG, and ground-truth writes stage in lane-local maps merged at the
-// next barrier (mergeLaneState) — no shared lock per message.
+// RNG, and ground truth stays in lane-local maps — no shared lock per
+// message.
 func (f *Fleet) injectOne(ln *companyLane) {
 	f.injectClass(ln, drawClass(ln.rng, ln.profile.Mix))
 }
@@ -317,12 +308,13 @@ func (f *Fleet) deliverNow(ln *companyLane, msg *mail.Message, class Class, atte
 		putMsg(msg)
 		return
 	}
-	// Capture gray-spool context for the offline SPF what-if (E14),
-	// staged lane-locally and merged at the barrier.
+	// Capture gray-spool context and ground truth for the offline SPF
+	// what-if (E14), digest weeding and spurious-delivery scoring.
 	switch class {
 	case ClassLegitNew, ClassNewsletter, ClassSpam, ClassRelayAttempt, ClassNullSender:
 		ln.grayLog[msg.ID] = GrayEntry{
 			MsgID:    msg.ID,
+			Class:    class,
 			From:     msg.EnvelopeFrom,
 			ClientIP: msg.ClientIP,
 			Subject:  msg.Subject,
@@ -339,13 +331,6 @@ func (f *Fleet) buildMessage(ln *companyLane, p CompanyProfile, class Class) *ma
 	m := getMsg()
 	m.ID = ln.ids.Next()
 	m.Received = ln.clk.Now()
-	// Ground truth is only consulted for messages that can reach the
-	// gray spool (digest weeding, spurious-delivery scoring); skipping
-	// the rest keeps long runs lean.
-	switch class {
-	case ClassLegitNew, ClassNewsletter, ClassSpam, ClassNullSender, ClassRelayAttempt:
-		ln.truth[m.ID] = class
-	}
 
 	users := f.users[comp.Name]
 	randUser := func() mail.Address { return users[rng.Intn(len(users))] }
@@ -571,7 +556,7 @@ func (f *Fleet) dailyChores(ln *companyLane, dayIdx int) {
 // wanted mail, delete junk, leave the rest.
 func (f *Fleet) weedDigest(ln *companyLane, u mail.Address, pending []digest.Item) {
 	for _, item := range pending {
-		class, _ := f.laneTruth(ln, item.MsgID)
+		class := ln.grayLog[item.MsgID].Class
 		authorize := class.Wanted() && ln.rng.Float64() < f.Cfg.DigestAuthorizeProb
 		del := !class.Wanted() && ln.rng.Float64() < f.Cfg.DigestDeleteProb
 		switch {

@@ -1,32 +1,30 @@
 package workload
 
 import (
-	"math/rand"
-	"sync"
+	"sort"
+	"sync/atomic"
 	"time"
 )
 
 // laneScheduler advances the per-company lanes through one-hour epochs
-// on a persistent work-stealing worker pool. It replaces the old
-// fixed-partition pool that spawned fresh goroutines every epoch and
-// handed lanes out round-robin off one shared counter: now the workers
-// live for the whole Run, each epoch deals every worker a contiguous
-// chunk of lanes in its local deque, and a worker that drains its own
-// deque steals from the others — so a lane stuck in a spam-campaign
-// burst no longer straggles the epoch while the other workers idle.
+// on a persistent worker pool. The lanes sit in one claim order, fixed
+// for the whole Run: heaviest static profile weight (DailyVolume) first,
+// ties in company-name order. Each epoch the workers claim the next lane
+// of that order from one atomic counter until none is left, so the
+// largest company starts first and the small ones fill in around it
+// instead of straggling the epoch behind a late-starting heavy lane.
 //
 // Correctness does not depend on who executes a lane: lanes are
 // independent within an epoch (shared state is frozen between fired
 // barriers and all cross-lane effects are staged, see ledger.go), so
-// any execution order yields bit-for-bit identical results. The steal
-// victim order is still seeded per worker — scheduling itself is
-// reproducible, not just its outcome.
+// any execution order yields bit-for-bit identical results. The claim
+// order itself is deterministic, so scheduling is reproducible too.
 type laneScheduler struct {
 	f       *Fleet
 	workers int
 
-	deques   []laneDeque
-	stealRng []*rand.Rand
+	order []*companyLane // claim order: DailyVolume descending, then name
+	next  atomic.Int32   // index into order of the next unclaimed lane
 
 	start []chan time.Time // per-worker epoch release (workers 1..n-1)
 	done  chan struct{}    // one token per worker per epoch
@@ -34,22 +32,20 @@ type laneScheduler struct {
 }
 
 // newLaneScheduler builds the pool. workers <= 1 selects the serial
-// path: no goroutines, no deques, identical epoch algorithm.
+// path: no goroutines, the lanes run in canonical order.
 func newLaneScheduler(f *Fleet, workers int) *laneScheduler {
 	ls := &laneScheduler{f: f, workers: workers}
 	if workers <= 1 {
 		return ls
 	}
-	ls.deques = make([]laneDeque, workers)
-	ls.stealRng = make([]*rand.Rand, workers)
+	ls.order = append([]*companyLane(nil), f.lanes...)
+	sort.SliceStable(ls.order, func(i, j int) bool { // f.lanes is in name order
+		return ls.order[i].profile.DailyVolume > ls.order[j].profile.DailyVolume
+	})
 	ls.start = make([]chan time.Time, workers)
 	ls.done = make(chan struct{}, workers)
 	ls.quit = make(chan struct{})
-	for w := 0; w < workers; w++ {
-		ls.stealRng[w] = rand.New(rand.NewSource(deriveSeed(f.Cfg.Seed, saltSteal, int64(w))))
-		if w == 0 {
-			continue // the coordinator doubles as worker 0
-		}
+	for w := 1; w < workers; w++ { // the coordinator doubles as worker 0
 		ls.start[w] = make(chan time.Time, 1)
 		go ls.loop(w)
 	}
@@ -57,12 +53,12 @@ func newLaneScheduler(f *Fleet, workers int) *laneScheduler {
 }
 
 // loop is one pool worker: park until the coordinator releases the
-// epoch, drain work, report done.
+// epoch, claim lanes until none is left, report done.
 func (ls *laneScheduler) loop(w int) {
 	for {
 		select {
 		case end := <-ls.start[w]:
-			ls.work(w, end)
+			ls.work(end)
 			ls.done <- struct{}{}
 		case <-ls.quit:
 			return
@@ -86,101 +82,24 @@ func (ls *laneScheduler) advance(epochEnd time.Time) {
 		}
 		return
 	}
-	// Deal contiguous lane chunks: worker w owns [w*L/n, (w+1)*L/n).
-	// The deal is deterministic; only who *finishes* a lane varies, and
-	// that cannot affect results.
-	lanes := len(ls.f.lanes)
-	for w := 0; w < ls.workers; w++ {
-		ls.deques[w].reset(w*lanes/ls.workers, (w+1)*lanes/ls.workers)
-	}
+	ls.next.Store(0)
 	for w := 1; w < ls.workers; w++ {
 		ls.start[w] <- epochEnd
 	}
-	ls.work(0, epochEnd)
+	ls.work(epochEnd)
 	for w := 1; w < ls.workers; w++ {
 		<-ls.done
 	}
 }
 
-// work drains lane items: own deque first (LIFO), then steal. A worker
-// returns when every deque is empty; in-flight lanes finish with the
-// worker that claimed them.
-func (ls *laneScheduler) work(w int, end time.Time) {
-	var steals int64
+// work claims lanes in order and runs each to end, returning when every
+// lane of the epoch has been claimed.
+func (ls *laneScheduler) work(end time.Time) {
 	for {
-		li, ok := ls.deques[w].pop()
-		if !ok {
-			li, ok = ls.steal(w)
-			if ok {
-				steals++
-			}
+		i := int(ls.next.Add(1)) - 1
+		if i >= len(ls.order) {
+			return
 		}
-		if !ok {
-			break
-		}
-		ls.f.lanes[li].sched.RunUntil(end)
+		ls.order[i].sched.RunUntil(end)
 	}
-	if steals > 0 {
-		ls.f.ledger.steals.Add(steals)
-	}
-}
-
-// steal tries each victim once in this worker's seeded order, taking
-// from the FIFO end of the victim's deque (the lanes the owner would
-// reach last).
-func (ls *laneScheduler) steal(w int) (int, bool) {
-	for _, v := range ls.stealRng[w].Perm(ls.workers) {
-		if v == w {
-			continue
-		}
-		if li, ok := ls.deques[v].steal(); ok {
-			return li, true
-		}
-	}
-	return 0, false
-}
-
-// laneDeque is one worker's epoch work list: lane indices dealt at
-// epoch start, popped LIFO by the owner and stolen FIFO by other
-// workers. Nothing pushes mid-epoch, so a mutex is plenty — the lock is
-// held for an index swap, never across lane execution.
-type laneDeque struct {
-	mu    sync.Mutex
-	items []int32
-	head  int
-}
-
-// reset fills the deque with lanes [lo, hi).
-func (d *laneDeque) reset(lo, hi int) {
-	d.mu.Lock()
-	d.items = d.items[:0]
-	d.head = 0
-	for i := lo; i < hi; i++ {
-		d.items = append(d.items, int32(i))
-	}
-	d.mu.Unlock()
-}
-
-// pop takes from the tail (owner side, LIFO).
-func (d *laneDeque) pop() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.head >= len(d.items) {
-		return 0, false
-	}
-	li := d.items[len(d.items)-1]
-	d.items = d.items[:len(d.items)-1]
-	return int(li), true
-}
-
-// steal takes from the head (thief side, FIFO).
-func (d *laneDeque) steal() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.head >= len(d.items) {
-		return 0, false
-	}
-	li := d.items[d.head]
-	d.head++
-	return int(li), true
 }

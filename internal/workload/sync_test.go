@@ -59,41 +59,67 @@ func TestFleetRBLCacheHitRate(t *testing.T) {
 	}
 }
 
-// TestLaneDeque pins the deque discipline: the owner pops LIFO from the
-// tail, thieves steal FIFO from the head, and the two meet exactly once
-// per item.
-func TestLaneDeque(t *testing.T) {
-	var d laneDeque
-	d.reset(0, 5) // items 0..4
+// TestLaneClaimOrder pins the lane scheduler: the claim order is
+// DailyVolume descending with ties in company-name order, and for any
+// worker count every lane runs exactly once per epoch and parks exactly
+// on the epoch end. The per-lane counters are plain ints, so under
+// -race a lane run by two workers at once would also fail the test.
+func TestLaneClaimOrder(t *testing.T) {
+	cfg := smallConfig(3)
+	for i := range cfg.Profiles {
+		cfg.Profiles[i].DailyVolume = []int{400, 900, 400, 900}[i%4]
+	}
+	f := NewFleet(cfg)
+	ls := newLaneScheduler(f, 2)
+	ls.stop()
+	if len(ls.order) != len(f.lanes) {
+		t.Fatalf("claim order has %d lanes, want %d", len(ls.order), len(f.lanes))
+	}
+	seen := make(map[*companyLane]bool)
+	for i, ln := range ls.order {
+		seen[ln] = true
+		if i == 0 {
+			continue
+		}
+		prev := ls.order[i-1]
+		pv, v := prev.profile.DailyVolume, ln.profile.DailyVolume
+		if pv < v || (pv == v && prev.comp.Name > ln.comp.Name) {
+			t.Fatalf("claim order %s (%d) before %s (%d)", prev.comp.Name, pv, ln.comp.Name, v)
+		}
+	}
+	if len(seen) != len(f.lanes) {
+		t.Fatalf("claim order repeats lanes: %d distinct of %d", len(seen), len(f.lanes))
+	}
 
-	if li, ok := d.pop(); !ok || li != 4 {
-		t.Fatalf("pop = %d,%v, want 4 (LIFO tail)", li, ok)
-	}
-	if li, ok := d.steal(); !ok || li != 0 {
-		t.Fatalf("steal = %d,%v, want 0 (FIFO head)", li, ok)
-	}
-	if li, ok := d.steal(); !ok || li != 1 {
-		t.Fatalf("steal = %d,%v, want 1", li, ok)
-	}
-	if li, ok := d.pop(); !ok || li != 3 {
-		t.Fatalf("pop = %d,%v, want 3", li, ok)
-	}
-	if li, ok := d.pop(); !ok || li != 2 {
-		t.Fatalf("pop = %d,%v, want 2", li, ok)
-	}
-	if _, ok := d.pop(); ok {
-		t.Fatal("pop on empty deque succeeded")
-	}
-	if _, ok := d.steal(); ok {
-		t.Fatal("steal on empty deque succeeded")
-	}
-
-	// reset reuses the backing array and restores both ends.
-	d.reset(10, 12)
-	if li, _ := d.steal(); li != 10 {
-		t.Fatalf("steal after reset = %d, want 10", li)
-	}
-	if li, _ := d.pop(); li != 11 {
-		t.Fatalf("pop after reset = %d, want 11", li)
+	const epochs = 5
+	for _, workers := range []int{1, 2, 3, len(f.lanes) + 1} {
+		f := NewFleet(cfg)
+		ls := newLaneScheduler(f, workers)
+		ran := make([][epochs]int, len(f.lanes))
+		var cur int // epoch being advanced; written only between epochs
+		for li, ln := range f.lanes {
+			for e := 0; e < epochs; e++ {
+				ln.sched.At(f.Start.Add(time.Duration(e)*time.Hour+30*time.Minute), func() {
+					if cur != e {
+						t.Errorf("workers=%d: lane %d's epoch-%d event ran in epoch %d", workers, li, e, cur)
+					}
+					ran[li][e]++
+				})
+			}
+		}
+		for e := 0; e < epochs; e++ {
+			cur = e
+			end := f.Start.Add(time.Duration(e+1) * time.Hour)
+			ls.advance(end)
+			for li, ln := range f.lanes {
+				if !ln.clk.Now().Equal(end) {
+					t.Fatalf("workers=%d: lane %d clock %v after epoch %d, want %v", workers, li, ln.clk.Now(), e, end)
+				}
+				if ran[li][e] != 1 {
+					t.Fatalf("workers=%d: lane %d ran %d times in epoch %d, want 1", workers, li, ran[li][e], e)
+				}
+			}
+		}
+		ls.stop()
 	}
 }

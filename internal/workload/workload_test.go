@@ -296,6 +296,38 @@ func TestGrayLogCapturesChallengedContext(t *testing.T) {
 	}
 }
 
+// TestTruthCoversChallengeDeliveries: ground truth is kept for every
+// MTA-accepted, gray-bound message, which covers each message a solved
+// challenge delivered, and it agrees with the gray log's class.
+func TestTruthCoversChallengeDeliveries(t *testing.T) {
+	mail.ResetIDCounter()
+	f := NewFleet(smallConfig(23))
+	f.Run(3)
+	n := 0
+	for _, c := range f.Companies {
+		for _, d := range c.Engine.Deliveries() {
+			if d.Via != core.ViaChallenge {
+				continue
+			}
+			n++
+			if _, ok := f.Truth(d.MsgID); !ok {
+				t.Errorf("challenge delivery %s has no ground truth", d.MsgID)
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no challenge deliveries")
+	}
+	for id, e := range f.GrayLog() {
+		if c, ok := f.Truth(id); !ok || c != e.Class {
+			t.Fatalf("Truth(%s) = %v,%v, gray log class %v", id, c, ok, e.Class)
+		}
+	}
+	if _, ok := f.Truth("nosuchcompany-000001"); ok {
+		t.Fatal("Truth resolved a message of an unknown company")
+	}
+}
+
 func TestClassStringsAndWanted(t *testing.T) {
 	if ClassSpam.String() != "spam" || ClassWhite.String() != "white" {
 		t.Fatal("class strings wrong")
