@@ -61,19 +61,6 @@ func BenchmarkParseLineBytes(b *testing.B) {
 	}
 }
 
-// BenchmarkParseLineSerial is the strings.Fields baseline the decoder
-// replaces, for the same line.
-func BenchmarkParseLineSerial(b *testing.B) {
-	line := "2010-07-01T10:00:00Z scn-03 mta-drop msg=scn-03-004242 reason=unknown-recipient size=4200"
-	b.SetBytes(int64(len(line)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := maillog.ParseLine(line); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkLogScan runs the full parallel scan over an in-memory
 // synthetic log at several worker counts, reporting events/sec and
 // allocs/event — the in-tree twin of `bench -logscan`.
@@ -95,18 +82,5 @@ func BenchmarkLogScan(b *testing.B) {
 			perOp := b.Elapsed().Seconds() / float64(b.N)
 			b.ReportMetric(float64(events)/perOp, "events/sec")
 		})
-	}
-}
-
-// BenchmarkParseAllSerial is the end-to-end serial baseline ParseAll
-// over the same log.
-func BenchmarkParseAllSerial(b *testing.B) {
-	log := genLog(b, 100000, 42)
-	b.SetBytes(int64(len(log)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := maillog.ParseAll(bytes.NewReader(log)); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

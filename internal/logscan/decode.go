@@ -1,13 +1,14 @@
-// Package logscan is the measurement pipeline at paper scale: a
-// parallel, zero-allocation streaming analyzer for the decision logs
-// maillog emits. The paper's numbers come from crawling six months of
-// daily logs — roughly 90M emails across 47 companies — so the crawler
-// has to run at I/O speed, not at strings.Fields-plus-map-per-line
-// speed. This package is the decode/aggregate mirror image of the
-// zero-alloc encoder maillog.AppendFormat: a byte-slicing line decoder
-// with string interning, a chunked scanner that splits a file across
-// workers on newline boundaries, and a deterministic shard merge that
-// yields the same maillog.Aggregate for any worker count.
+// Package logscan is the one reader of the decision logs maillog
+// emits, built for paper scale. The paper's numbers come from crawling
+// six months of daily logs — roughly 90M emails across 47 companies —
+// so the crawler has to run at I/O speed, not at
+// strings.Fields-plus-map-per-line speed. The package is the
+// decode/aggregate mirror image of the zero-alloc encoder
+// maillog.AppendFormat: a byte-slicing line decoder with string
+// interning, a scanner that frames lines in one place and feeds them to
+// parallel workers (range-split for files and in-memory readers, a
+// single-reader producer for pipes), and a deterministic shard merge
+// that yields the same maillog.Aggregate for any worker count.
 package logscan
 
 import (
@@ -95,11 +96,13 @@ func nextToken(buf []byte) (tok, rest []byte) {
 }
 
 // ParseLineBytes parses one log line into e, overwriting it completely.
-// It is the zero-copy counterpart of maillog.ParseLine: the input is
-// tokenized by slicing buf in place, the Event's inline pairs are
-// filled first (the same machinery AppendFormat encodes from), and
-// every string except the per-event message ID comes from the intern
-// table. buf is not retained; it may be a reused read buffer.
+// A line is ASCII-whitespace-separated tokens: a "2006-01-02T15:04:05Z"
+// timestamp, the company, the kind, then key=value fields ("msg" sets
+// MsgID). The input is tokenized by slicing buf in place, the Event's
+// inline pairs are filled first (the same machinery AppendFormat
+// encodes from), and every string except the per-event message ID
+// comes from the intern table. buf is not retained; it may be a reused
+// read buffer.
 func (d *Decoder) ParseLineBytes(buf []byte, e *maillog.Event) error {
 	*e = maillog.Event{}
 	ts, rest := nextToken(buf)
@@ -137,9 +140,11 @@ func (d *Decoder) ParseLineBytes(buf []byte, e *maillog.Event) error {
 }
 
 // parseTimestamp decodes the fixed "2006-01-02T15:04:05Z" layout
-// without time.Parse's allocations. It accepts exactly what time.Parse
-// accepts for that layout: correct separators, in-range components, and
-// calendar-valid dates (Feb 30 is rejected, not normalized).
+// without time.Parse's allocations. It accepts what time.Parse accepts
+// for that layout at its full 20-byte width: correct separators,
+// in-range components, and calendar-valid dates (Feb 30 is rejected,
+// not normalized). The one-digit hour and fractional seconds time.Parse
+// also tolerates are bad timestamps here; the encoder writes neither.
 func parseTimestamp(b []byte) (time.Time, bool) {
 	if len(b) != 20 ||
 		b[4] != '-' || b[7] != '-' || b[10] != 'T' ||
@@ -175,8 +180,8 @@ func parseTimestamp(b []byte) (time.Time, bool) {
 	}
 	t := time.Date(year, time.Month(month), day, hour, minute, sec, 0, time.UTC)
 	// time.Date normalizes out-of-range days (Feb 30 -> Mar 2);
-	// time.Parse rejects them. Reject likewise so both decoders agree
-	// on what a bad line is.
+	// time.Parse rejects them. Reject likewise: a calendar-invalid
+	// date makes a bad line.
 	if t.Day() != day || t.Month() != time.Month(month) || t.Year() != year {
 		return time.Time{}, false
 	}

@@ -56,9 +56,9 @@ func genLog(t testing.TB, n int, seed int64) []byte {
 	return buf.Bytes()
 }
 
-// TestParseLineBytesMatchesParseLine: the zero-copy decoder and the
-// serial maillog.ParseLine must agree on classification and content for
-// good and bad lines alike.
+// TestParseLineBytesMatchesParseLine: the zero-copy decoder and
+// referenceParse must agree on classification and content for good and
+// bad lines alike.
 func TestParseLineBytesMatchesParseLine(t *testing.T) {
 	cases := []string{
 		"2010-07-01T10:00:00Z corp mta-drop msg=m-1 reason=unknown-recipient size=4096",
@@ -74,14 +74,16 @@ func TestParseLineBytesMatchesParseLine(t *testing.T) {
 		"2010-07-01T10:00:60Z c deliver", // out-of-range seconds
 		"2010-07-01 10:00:00Z c deliver", // wrong separator
 		"2010-07-01T10:00:00+01 c deliver",
+		"2010-07-01T9:00:00Z c deliver",    // one-digit hour
+		"2010-07-01T10:00:00.5Z c deliver", // fractional seconds
 	}
 	d := logscan.NewDecoder()
 	for _, line := range cases {
-		want, werr := maillog.ParseLine(line)
+		want, werr := referenceParse(line)
 		var e maillog.Event
 		gerr := d.ParseLineBytes([]byte(line), &e)
 		if (werr == nil) != (gerr == nil) {
-			t.Errorf("%q: ParseLine err=%v, ParseLineBytes err=%v", line, werr, gerr)
+			t.Errorf("%q: reference err=%v, ParseLineBytes err=%v", line, werr, gerr)
 			continue
 		}
 		if werr != nil {
@@ -119,10 +121,20 @@ type forceStream struct{ r io.Reader }
 
 func (f forceStream) Read(p []byte) (int, error) { return f.r.Read(p) }
 
+// scanBytes is the reference scan: one worker, range-split.
+func scanBytes(t testing.TB, b []byte) *maillog.Aggregate {
+	t.Helper()
+	agg, err := logscan.Scan(bytes.NewReader(b), logscan.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return agg
+}
+
 // TestWorkerCountInvariance is the determinism proof: for 1/2/4/8
 // workers, over both the range-split and the streaming path, the merged
-// aggregate is identical to each other and to the serial
-// maillog.ParseAll baseline — bit for bit, bad lines included.
+// aggregate is identical to the one-worker range-split scan — bit for
+// bit, bad lines included.
 func TestWorkerCountInvariance(t *testing.T) {
 	log := genLog(t, 20000, 17)
 	// Salt the input with the hostile cases a crawler meets: blank
@@ -136,12 +148,9 @@ func TestWorkerCountInvariance(t *testing.T) {
 	sb.Write(log[cut:])
 	input := sb.Bytes()
 
-	serial, err := maillog.ParseAll(bytes.NewReader(input))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.BadLines != 2 {
-		t.Fatalf("fixture bad lines = %d, want 2", serial.BadLines)
+	want := scanBytes(t, input)
+	if want.Lines != 20002 || want.BadLines != 2 {
+		t.Fatalf("fixture lines=%d bad=%d, want 20002/2", want.Lines, want.BadLines)
 	}
 
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -150,15 +159,60 @@ func TestWorkerCountInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d ranged: %v", workers, err)
 		}
-		if !reflect.DeepEqual(ranged, serial) {
-			t.Fatalf("workers=%d: range-split aggregate differs from serial ParseAll", workers)
+		if !reflect.DeepEqual(ranged, want) {
+			t.Fatalf("workers=%d: range-split aggregate differs from workers=1", workers)
 		}
 		streamed, err := logscan.Scan(forceStream{bytes.NewReader(input)}, opts)
 		if err != nil {
 			t.Fatalf("workers=%d streamed: %v", workers, err)
 		}
-		if !reflect.DeepEqual(streamed, serial) {
-			t.Fatalf("workers=%d: streaming aggregate differs from serial ParseAll", workers)
+		if !reflect.DeepEqual(streamed, want) {
+			t.Fatalf("workers=%d: streaming aggregate differs from workers=1 range-split", workers)
+		}
+	}
+}
+
+// TestScanFromReaderPosition: Scan reads from where the reader stands,
+// as in `{ read hdr; logstats; } < cr.log`. After a consumed prefix —
+// one whole line, or a line and a half — the range-split path (file,
+// strings.Reader) and the stream path both aggregate only the
+// remaining bytes.
+func TestScanFromReaderPosition(t *testing.T) {
+	log := genLog(t, 5000, 13)
+	path := filepath.Join(t.TempDir(), "cr.log")
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// check consumes off bytes of r, then scans the rest.
+	check := func(name string, r io.Reader, off, workers int, want *maillog.Aggregate) {
+		t.Helper()
+		if _, err := io.ReadFull(r, make([]byte, off)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := logscan.Scan(r, logscan.Options{Workers: workers})
+		if err != nil {
+			t.Fatalf("%s off=%d workers=%d: %v", name, off, workers, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s off=%d workers=%d: lines=%d, want the remaining %d",
+				name, off, workers, got.Lines, want.Lines)
+		}
+	}
+	first := bytes.IndexByte(log, '\n') + 1
+	for _, off := range []int{first, first + first/2} {
+		want := scanBytes(t, log[off:])
+		if off == first && want.Lines != 4999 {
+			t.Fatalf("reference lines = %d, want 4999", want.Lines)
+		}
+		for _, workers := range []int{1, 4} {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("file", f, off, workers, want)
+			f.Close()
+			check("strings.Reader", strings.NewReader(string(log)), off, workers, want)
+			check("stream", forceStream{bytes.NewReader(log)}, off, workers, want)
 		}
 	}
 }
@@ -193,16 +247,12 @@ func TestScanFile(t *testing.T) {
 	if err := os.WriteFile(path, log, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	want, err := maillog.ParseAll(bytes.NewReader(log))
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err := logscan.ScanFile(path, logscan.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("ScanFile aggregate differs from serial ParseAll")
+	if want := scanBytes(t, log); !reflect.DeepEqual(got, want) || got.Lines != 5000 {
+		t.Fatalf("ScanFile aggregate (%d lines) differs from the in-memory scan (%d lines)", got.Lines, want.Lines)
 	}
 	if _, err := logscan.ScanFile(filepath.Join(t.TempDir(), "missing.log"), logscan.Options{}); err == nil {
 		t.Fatal("missing file did not error")

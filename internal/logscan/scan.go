@@ -13,11 +13,11 @@ import (
 	"repro/internal/maillog"
 )
 
-// MaxLineLen mirrors maillog.MaxLineLen: lines longer than this are
-// counted as bad and skipped, in every scan mode, so the parallel
-// scanner and the serial ParseAll classify identical inputs
-// identically.
-const MaxLineLen = maillog.MaxLineLen
+// MaxLineLen is the longest log line a scan decodes. A longer line is
+// drained through its newline and counted as one bad line, in every
+// scan mode, so it costs one bad line rather than the rest of the
+// crawl.
+const MaxLineLen = 1024 * 1024
 
 // flushEvery is how many events a worker folds locally before flushing
 // into the shared progress counters. Coarse enough to keep the atomics
@@ -133,27 +133,39 @@ func (t *tally) finish() {
 	}
 }
 
-// Scan aggregates a decision-log stream in parallel. Inputs backed by a
-// random-access source — a regular file, bytes.Reader, strings.Reader —
-// are range-split across workers with no producer in the way; anything
-// else (a pipe, stdin) falls back to a bounded single-reader producer
-// feeding worker-owned block buffers. The result is bit-for-bit
-// identical to maillog.ParseAll on the same bytes, for any worker
-// count.
+// Scan aggregates the rest of a decision-log stream in parallel, from
+// the reader's current position to its end. Inputs backed by a
+// random-access source — a regular file, bytes.Reader, strings.Reader
+// — are range-split across workers with no producer in the way (and
+// their position is left where it was); anything else (a pipe, stdin)
+// falls back to a bounded single-reader producer feeding worker-owned
+// block buffers. The aggregate is identical for any worker count and
+// on either path.
 func Scan(r io.Reader, opts Options) (*maillog.Aggregate, error) {
-	type sizedReaderAt interface {
+	// remainder reports the unread part [off,size) of an in-memory
+	// reader: bytes.Reader and strings.Reader.
+	type remainder interface {
 		io.ReaderAt
 		Size() int64
+		Len() int
 	}
 	switch v := r.(type) {
 	case *os.File:
 		if fi, err := v.Stat(); err == nil && fi.Mode().IsRegular() {
-			return ScanReaderAt(v, fi.Size(), opts)
+			if off, err := v.Seek(0, io.SeekCurrent); err == nil {
+				return scanTail(v, off, fi.Size(), opts)
+			}
 		}
-	case sizedReaderAt:
-		return ScanReaderAt(v, v.Size(), opts)
+	case remainder:
+		return scanTail(v, v.Size()-int64(v.Len()), v.Size(), opts)
 	}
 	return scanStream(r, opts)
+}
+
+// scanTail range-splits the bytes [off,size) of r.
+func scanTail(r io.ReaderAt, off, size int64, opts Options) (*maillog.Aggregate, error) {
+	n := max(0, size-off)
+	return ScanReaderAt(io.NewSectionReader(r, off, n), n, opts)
 }
 
 // ScanFile range-splits one log file across the configured workers.
@@ -163,11 +175,7 @@ func ScanFile(path string, opts Options) (*maillog.Aggregate, error) {
 		return nil, err
 	}
 	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	return ScanReaderAt(f, fi.Size(), opts)
+	return Scan(f, opts)
 }
 
 // ScanReaderAt splits [0,size) into worker-count byte ranges and scans
@@ -210,6 +218,24 @@ func ScanReaderAt(r io.ReaderAt, size int64, opts Options) (*maillog.Aggregate, 
 	return agg, nil
 }
 
+// readLine returns the next line of br, newline included, and n, the
+// bytes it consumed. A line longer than br's buffer (MaxLineLen) is
+// drained through its newline instead and reported as oversized, with
+// line nil and n its full length. It is the one place a decision log
+// is framed into lines.
+func readLine(br *bufio.Reader) (line []byte, n int64, oversized bool, err error) {
+	line, err = br.ReadSlice('\n')
+	n = int64(len(line))
+	if err != bufio.ErrBufferFull {
+		return line, n, false, err
+	}
+	for err == bufio.ErrBufferFull {
+		line, err = br.ReadSlice('\n')
+		n += int64(len(line))
+	}
+	return nil, n, true, err
+}
+
 // scanRange processes every line starting in [start,end) of r, reading
 // past end as needed to complete the final line. size is the total
 // input length (the section reader must be allowed to run to it).
@@ -231,44 +257,28 @@ func scanRange(r io.ReaderAt, start, end, size int64, t *tally) error {
 		if _, err := r.ReadAt(prev[:], start-1); err != nil {
 			return fmt.Errorf("logscan: read error at byte %d: %w", start-1, err)
 		}
-		for prev[0] != '\n' {
-			skipped, err := br.ReadSlice('\n')
-			pos += int64(len(skipped))
-			if err == bufio.ErrBufferFull {
-				continue
-			}
+		if prev[0] != '\n' {
+			_, n, _, err := readLine(br)
+			pos += n
 			if err == io.EOF {
 				return nil
 			}
 			if err != nil {
 				return fmt.Errorf("logscan: read error at byte %d: %w", pos, err)
 			}
-			break
 		}
 	}
 
 	for pos < end {
-		lineStart := pos
-		chunk, err := br.ReadSlice('\n')
-		pos += int64(len(chunk))
-		if err == bufio.ErrBufferFull {
-			// Oversized line owned by this range: count once, discard
-			// through its newline (which may lie past end).
-			for err == bufio.ErrBufferFull {
-				var skipped []byte
-				skipped, err = br.ReadSlice('\n')
-				pos += int64(len(skipped))
-			}
-			t.oversized(pos - lineStart)
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return fmt.Errorf("logscan: read error at byte %d: %w", pos, err)
-			}
-			continue
+		// An oversized line owned by this range counts once, though
+		// its newline may lie past end.
+		line, n, oversized, err := readLine(br)
+		pos += n
+		if oversized {
+			t.oversized(n)
+		} else {
+			t.line(d, &e, line)
 		}
-		t.line(d, &e, chunk)
 		if err == io.EOF {
 			return nil
 		}
@@ -333,28 +343,15 @@ func scanStream(r io.Reader, opts Options) (*maillog.Aggregate, error) {
 		}
 	}
 	for {
-		lineLen := int64(0)
-		chunk, err := br.ReadSlice('\n')
-		if err == bufio.ErrBufferFull {
-			for err == bufio.ErrBufferFull {
-				lineLen += int64(len(chunk))
-				chunk, err = br.ReadSlice('\n')
+		line, n, oversized, err := readLine(br)
+		if oversized {
+			prodTally.oversized(n)
+		} else {
+			if len(block)+len(line) > cap(block) {
+				ship()
 			}
-			lineLen += int64(len(chunk))
-			prodTally.oversized(lineLen)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				perr = err
-				break
-			}
-			continue
+			block = append(block, line...)
 		}
-		if len(block)+len(chunk) > cap(block) {
-			ship()
-		}
-		block = append(block, chunk...)
 		if err == io.EOF {
 			break
 		}

